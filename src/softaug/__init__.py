@@ -22,9 +22,9 @@ from .softening import (
     ssl_pair_confidence,
 )
 from .loss import (
-    LOSS_MODES,
-    batch_loss,
+    MODES,
     log_softmax,
+    loss_and_grad,
     make_soft_target,
     soft_loss,
     soft_loss_grad,
@@ -35,14 +35,11 @@ from .data import (
     NormalizationStats,
     ParseError,
     compute_stats,
-    denormalize,
     flip_horizontal,
     hflip,
-    load_dataset,
     normalize,
     parse_cifar10,
     parse_cifar100,
-    save_dataset,
     synth_shapes,
 )
 from .model import (
@@ -73,7 +70,7 @@ from .metrics import (
     write_calibration_csv,
     write_sweep_csv,
 )
-from .softening import SOFTEN_MODES, SSL_HYPOTHESES
+from .softening import SSL_HYPOTHESES
 from .sslweights import CropPair, pair_weights
 
 __version__ = "0.1.0"

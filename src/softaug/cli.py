@@ -29,6 +29,7 @@ from .data import (
     synth_shapes,
 )
 from .geometry import crop_visibility, visibility
+from .loss import canonical_mode
 from .metrics import (
     DEFAULT_OCCLUSION_GRID,
     ece,
@@ -63,13 +64,6 @@ TEST_SEED_OFFSET = 1_000_003
 
 _SOURCES = ("synth", "cifar10", "cifar100")
 _KINDS = ("gaussian", "uniform", "resize_crop", "standard")
-_MODES = {
-    "hard": "none",
-    "none": "none",
-    "target": "target",
-    "weight": "weight",
-    "target_and_weight": "target_and_weight",
-}
 
 _SECTION_KEYS = {
     "dataset": {"source", "num_classes", "train_per_class", "test_per_class",
@@ -212,6 +206,8 @@ def parse_config(path: str) -> ExperimentConfig:
         test_path = _value(parser, "dataset", "test_path", str, required=True)
         train_per_class = test_per_class = 0
         data_seed = 0
+    if num_classes < 2:
+        raise ConfigError(f"[dataset] num_classes must be >= 2, got {num_classes}")
 
     kind = _value(parser, "sampler", "kind", str, required=True)
     if kind not in _KINDS:
@@ -236,10 +232,10 @@ def parse_config(path: str) -> ExperimentConfig:
     ratio_max = _value(parser, "sampler", "ratio_max", float, default=4.0 / 3.0)
 
     mode_raw = _value(parser, "softening", "mode", str, required=True)
-    if mode_raw not in _MODES:
-        raise ConfigError(
-            f"[softening] mode must be one of {sorted(_MODES)}, got {mode_raw!r}"
-        )
+    try:
+        mode = canonical_mode(mode_raw)
+    except ValueError as exc:
+        raise ConfigError(f"[softening] {exc}") from None
     k = _value(parser, "softening", "k", float, default=2.0)
     p_min = _value(parser, "softening", "p_min", float)
     if p_min is not None and p_min != 1.0 / num_classes:
@@ -278,7 +274,7 @@ def parse_config(path: str) -> ExperimentConfig:
         width=width, height=height, min_length=min_length,
         scale_min=scale_min, scale_max=scale_max,
         ratio_min=ratio_min, ratio_max=ratio_max,
-        soften_mode=_MODES[mode_raw], k=k, alpha=alpha,
+        soften_mode=mode, k=k, alpha=alpha,
         epochs=epochs, batch_size=batch_size, lr0=lr0, momentum=momentum,
         weight_decay=weight_decay, train_seed=train_seed, hidden_sizes=hidden,
         sigma_decay_final=sd_final, sigma_decay_factor=sd_factor,
@@ -308,20 +304,24 @@ def build_policy(cfg: ExperimentConfig) -> SofteningPolicy:
     return SofteningPolicy(k=cfg.k, p_min=1.0 / cfg.num_classes, mode=cfg.soften_mode)
 
 
+def build_sampler(cfg: ExperimentConfig,
+                  edge: int) -> GaussianCropConfig | UniformCropConfig:
+    """The same-size offset sampler of a gaussian or uniform config, for
+    square images of side ``edge``."""
+    if cfg.length and cfg.length != edge:
+        raise ConfigError(f"[sampler] length {cfg.length} != image edge {edge}")
+    if cfg.sampler_kind == "gaussian":
+        return GaussianCropConfig(cfg.sigma, edge)
+    if cfg.sampler_kind == "uniform":
+        return UniformCropConfig(cfg.range_r)
+    raise ConfigError(
+        f"[sampler] kind={cfg.sampler_kind} cannot train; use gaussian or uniform"
+    )
+
+
 def build_train_config(cfg: ExperimentConfig, image_edge: int,
                        seed: int | None = None) -> TrainConfig:
-    if cfg.sampler_kind == "gaussian":
-        if cfg.length and cfg.length != image_edge:
-            raise ConfigError(
-                f"[sampler] length {cfg.length} != image edge {image_edge}"
-            )
-        sampler = GaussianCropConfig(cfg.sigma, image_edge)
-    elif cfg.sampler_kind == "uniform":
-        sampler = UniformCropConfig(cfg.range_r)
-    else:
-        raise ConfigError(
-            f"[sampler] kind={cfg.sampler_kind} cannot train; use gaussian or uniform"
-        )
+    sampler = build_sampler(cfg, image_edge)
     decay = None
     if cfg.sigma_decay_final > 0:
         decay = SigmaDecay(cfg.sigma_decay_final, cfg.sigma_decay_factor)
@@ -462,17 +462,13 @@ def _sampler_stats_rows(cfg: ExperimentConfig, draws: int, seed: int) -> list[li
     rows: list[list] = [["kind", cfg.sampler_kind], ["draws", draws]]
     if cfg.sampler_kind in ("gaussian", "uniform"):
         edge = cfg.length if cfg.length else 32
-        if cfg.sampler_kind == "gaussian":
-            sampler_cfg = GaussianCropConfig(cfg.sigma, edge)
-        else:
-            sampler_cfg = UniformCropConfig(cfg.range_r)
+        sampler_cfg = build_sampler(cfg, edge)
+        draw = (draw_gaussian_window if cfg.sampler_kind == "gaussian"
+                else draw_uniform_window)
         offsets = np.empty(2 * draws)
         vs = np.empty(draws)
         for i in range(draws):
-            if cfg.sampler_kind == "gaussian":
-                tx, ty = draw_gaussian_window(sampler_cfg, rng)
-            else:
-                tx, ty = draw_uniform_window(sampler_cfg, rng)
+            tx, ty = draw(sampler_cfg, rng)
             offsets[2 * i] = tx
             offsets[2 * i + 1] = ty
             vs[i] = visibility(tx, ty, edge, edge)

@@ -9,7 +9,6 @@ genuinely degraded by aggressive crops and occlusion.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from .sampling import RandomSource
 
 CIFAR10_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 CIFAR100_RECORD = 3074  # coarse + fine label bytes + pixels
-
-_DATASET_MAGIC = b"SADSET01"
 
 SHAPE_NAMES = ("square", "disk", "triangle", "cross")
 
@@ -190,58 +187,4 @@ def normalize(dataset: LabeledDataset, stats: NormalizationStats) -> LabeledData
         dataset.labels,
         dataset.num_classes,
         dataset.split,
-    )
-
-
-def denormalize(dataset: LabeledDataset, stats: NormalizationStats) -> LabeledDataset:
-    """Inverse of :func:`normalize` with the same stats."""
-    shaped_mean = stats.mean[None, :, None, None]
-    shaped_std = stats.std[None, :, None, None]
-    return LabeledDataset(
-        dataset.images * shaped_std + shaped_mean,
-        dataset.labels,
-        dataset.num_classes,
-        dataset.split,
-    )
-
-
-def save_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Write the dataset to a self-describing little-endian container."""
-    split_bytes = dataset.split.encode("utf-8")
-    n, c, h, w = dataset.images.shape
-    header = struct.pack(
-        "<8sIIIIIII", _DATASET_MAGIC, 1, n, c, h, w, dataset.num_classes, len(split_bytes)
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(split_bytes)
-        fh.write(dataset.labels.astype("<i8").tobytes())
-        fh.write(dataset.images.astype("<f8").tobytes())
-
-
-def load_dataset(path: str) -> LabeledDataset:
-    """Read a container written by :func:`save_dataset`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_size = struct.calcsize("<8sIIIIIII")
-    if len(data) < head_size:
-        raise ParseError(f"container too short: {len(data)} bytes")
-    magic, version, n, c, h, w, num_classes, split_len = struct.unpack(
-        "<8sIIIIIII", data[:head_size]
-    )
-    if magic != _DATASET_MAGIC:
-        raise ParseError(f"bad magic {magic!r}")
-    if version != 1:
-        raise ParseError(f"unsupported container version {version}")
-    offset = head_size
-    split = data[offset : offset + split_len].decode("utf-8")
-    offset += split_len
-    expected = offset + 8 * n + 8 * n * c * h * w
-    if len(data) != expected:
-        raise ParseError(f"container length {len(data)} != expected {expected}")
-    labels = np.frombuffer(data, dtype="<i8", count=n, offset=offset)
-    offset += 8 * n
-    images = np.frombuffer(data, dtype="<f8", count=n * c * h * w, offset=offset)
-    return LabeledDataset(
-        images.reshape(n, c, h, w).copy(), labels.copy(), num_classes, split
     )

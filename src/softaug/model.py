@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import CropWindow, pad_and_crop, visibility
-from .loss import LOSS_MODES
+from .loss import loss_and_grad
 from .sampling import (
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
     UniformCropConfig,
-    draw_offset,
-    draw_uniform_offset,
+    draw_gaussian_window,
+    draw_uniform_window,
 )
 from .softening import SofteningPolicy, label_smoothing_confidence, soften
 from .data import LabeledDataset, hflip
@@ -122,45 +122,16 @@ def _forward_batch(model: MlpClassifier, x: np.ndarray):
     return pre_activations[-1], activations, pre_activations
 
 
-def _batch_targets(true_classes: np.ndarray, ps: np.ndarray, num_classes: int,
-                   mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Target rows and per-sample weights for a batch, by loss mode."""
-    if mode not in LOSS_MODES:
-        raise ValueError(f"mode must be one of {LOSS_MODES}, got {mode!r}")
-    b = true_classes.shape[0]
-    rows = np.arange(b)
-    if mode in ("hard", "weight"):
-        targets = np.zeros((b, num_classes))
-        targets[rows, true_classes] = 1.0
-    else:
-        if (ps < 1.0 / num_classes - 1e-12).any() or (ps > 1.0).any():
-            raise ValueError(f"confidences outside [1/{num_classes}, 1]")
-        targets = np.repeat(((1.0 - ps) / (num_classes - 1))[:, None], num_classes, axis=1)
-        targets[rows, true_classes] = ps
-    weights = np.ones(b) if mode in ("hard", "target") else ps.astype(float)
-    return targets, weights
-
-
 def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarray,
                     ps: np.ndarray, mode: str):
     """Mean loss over the batch plus gradients for every parameter.
 
     Returns (loss, weight_grads, bias_grads, logits). The logit gradient
-    of one sample is w * (softmax - target); all deeper gradients follow
-    by the chain rule through ReLU masks.
+    comes from :func:`loss_and_grad`; all deeper gradients follow by the
+    chain rule through ReLU masks.
     """
     logits, activations, pre_activations = _forward_batch(model, x)
-    b, num_classes = logits.shape
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    q = np.exp(log_q)
-    targets, weights = _batch_targets(true_classes, ps, num_classes, mode)
-    mask = targets > 0
-    safe = np.where(mask, targets, 1.0)
-    kl = np.where(mask, targets * (np.log(safe) - log_q), 0.0).sum(axis=1)
-    kl = np.maximum(kl, 0.0)
-    loss = float((weights * kl).mean())
-    delta = weights[:, None] * (q - targets) / b
+    loss, delta = loss_and_grad(logits, true_classes, ps, mode)
     weight_grads = [np.empty(0)] * model.num_layers
     bias_grads = [np.empty(0)] * model.num_layers
     for layer in range(model.num_layers - 1, -1, -1):
@@ -206,8 +177,8 @@ class SigmaDecay:
     def __post_init__(self) -> None:
         if self.final_epochs < 0:
             raise ValueError(f"final_epochs must be >= 0, got {self.final_epochs}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if not 1.0 <= self.factor < math.inf:
+            raise ValueError(f"factor must be finite and >= 1, got {self.factor}")
 
 
 @dataclass
@@ -233,12 +204,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if isinstance(self.sampler, ResizeCropConfig):
             raise ValueError(
                 "resize-crop sampling needs sub-pixel resampling, which this "
@@ -273,17 +244,15 @@ def effective_sigma(epoch: int, cfg: TrainConfig) -> float:
     return sigma
 
 
-def _augment(image: np.ndarray, cfg: TrainConfig, sigma: float,
+def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
              rng: RandomSource) -> tuple[np.ndarray, float]:
     """Flip-then-crop one (C, H, W) image; returns (image, visibility)."""
     _, h, w = image.shape
     image = hflip(image, rng)
-    if isinstance(cfg.sampler, GaussianCropConfig):
-        tx = draw_offset(h, sigma * h, rng, cfg.sampler.max_rejections)
-        ty = draw_offset(w, sigma * w, rng, cfg.sampler.max_rejections)
+    if isinstance(sampler, GaussianCropConfig):
+        tx, ty = draw_gaussian_window(sampler, rng)
     else:
-        tx = draw_uniform_offset(cfg.sampler.range_r, rng)
-        ty = draw_uniform_offset(cfg.sampler.range_r, rng)
+        tx, ty = draw_uniform_window(sampler, rng)
     cropped = pad_and_crop(image, CropWindow(tx, ty, w, h))
     return cropped, visibility(tx, ty, w, h)
 
@@ -313,12 +282,15 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     model = init_mlp(layer_sizes, root.split(0))
     velocity_w = [np.zeros_like(wt) for wt in model.weights]
     velocity_b = [np.zeros_like(bs) for bs in model.biases]
-    mode = "hard" if cfg.policy.mode == "none" else cfg.policy.mode
+    mode = cfg.policy.mode
 
     stats: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
         sigma = effective_sigma(epoch, cfg)
+        sampler = cfg.sampler
+        if isinstance(sampler, GaussianCropConfig):
+            sampler = replace(sampler, sigma=sigma)
         # one stream per epoch, consumed in a fixed order: permutation
         # first, then flip and crop draws sample by sample
         ep_rng = root.split(epoch + 1)
@@ -330,7 +302,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             batch = np.empty((idx.size, c * h * w))
             ps = np.empty(idx.size)
             for row, i in enumerate(idx):
-                image, vis = _augment(dataset.images[i], cfg, sigma, ep_rng)
+                image, vis = _augment(dataset.images[i], sampler, ep_rng)
                 batch[row] = image.reshape(-1)
                 if mode == "hard":
                     ps[row] = 1.0

@@ -71,8 +71,8 @@ class GaussianCropConfig:
     max_rejections: int = MAX_REJECTIONS
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
         if self.max_rejections < 1:
@@ -106,8 +106,8 @@ class ResizeCropConfig:
     min_length: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 1 <= self.min_length <= min(self.width, self.height):
             raise ValueError(
                 f"min_length must be in [1, min(width, height)], got {self.min_length}"

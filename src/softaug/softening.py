@@ -12,11 +12,12 @@ overlap playing the role of v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-SOFTEN_MODES = ("none", "target", "weight", "target_and_weight")
+from .loss import canonical_mode
 
 SSL_HYPOTHESES = ("SA1", "SA2")
 
@@ -28,7 +29,9 @@ class SofteningPolicy:
     ``k`` is the curve exponent, ``p_min`` the chance-level floor
     (1 / number of classes), and ``mode`` selects whether confidence
     softens the target distribution, the sample weight, both, or
-    neither ("none" trains on plain one-hot cross entropy).
+    neither ("hard" trains on plain one-hot cross entropy). The mode is
+    stored under its :data:`~softaug.loss.MODES` name, so "none" reads
+    back as "hard".
     """
 
     k: float = 2.0
@@ -36,12 +39,11 @@ class SofteningPolicy:
     mode: str = "target_and_weight"
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        if not 0 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
         if not 0.0 <= self.p_min < 1.0:
             raise ValueError(f"p_min must be in [0, 1), got {self.p_min}")
-        if self.mode not in SOFTEN_MODES:
-            raise ValueError(f"mode must be one of {SOFTEN_MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", canonical_mode(self.mode))
 
 
 def soften(v: float, policy: SofteningPolicy) -> float:

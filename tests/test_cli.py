@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,8 @@ def test_parse_config_happy_path(cfg_path):
 
 
 def test_parse_config_mode_aliases(cfg_path):
-    assert parse_config(cfg_path(softening={"mode": "hard"})).soften_mode == "none"
-    assert parse_config(cfg_path(softening={"mode": "none"})).soften_mode == "none"
+    assert parse_config(cfg_path(softening={"mode": "hard"})).soften_mode == "hard"
+    assert parse_config(cfg_path(softening={"mode": "none"})).soften_mode == "hard"
 
 
 def test_parse_config_hidden_list(cfg_path):
@@ -185,10 +187,53 @@ def test_train_seed_flag_changes_model(cfg_path, tmp_path):
     assert a != c
 
 
+# sha256 of (checkpoint.bin, epoch_log.csv) after two epochs. The digests
+# are pinned to one numpy/OpenBLAS build (numpy 2.4.6, OpenBLAS 0.3.31):
+# another BLAS may round the matmuls differently. A change that alters
+# the training stream on purpose must update them and say so.
+GOLDEN = {
+    "uniform_none": (
+        {"sampler": {"kind": "uniform", "sigma": None, "range": 8},
+         "softening": {"mode": "none"}},
+        "b357ce99ea618379ce2e257b0266c528cf1d85e0575b6161ea222a633e6ded26",
+        "ea5bf7f8fd75ea00c08e234e84a729d63555dc1578ae0d0b17be9c6a9514af45",
+    ),
+    "gaussian_sigma_decay": (
+        {"train": {"sigma_decay_final_epochs": 1}},
+        "50cac6f5922f43364255ca64d2dc3c55ed56d10aa84ce7ff15cca62a80a33f01",
+        "0d86022b3971937b6eb4759fa4103bc3de7abe555257c006d811b188ed24cb6b",
+    ),
+    "gaussian_alpha": (
+        {"softening": {"alpha": 0.1}},
+        "a61c2f2f71f09f922b42daadde11ac2095cbb7850c38f40d932511da44fcd91f",
+        "773ea110045e6a37e2158d2d1f3f6fd8d8f6866acf1f301b98a1decf34162af6",
+    ),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(GOLDEN))
+def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
+    overrides, checkpoint_sha, log_sha = GOLDEN[arm]
+    assert main(["train", "--config", cfg_path(**overrides)]) == 0
+    run = tmp_path / "run"
+    assert hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest() == checkpoint_sha
+    assert hashlib.sha256((run / "epoch_log.csv").read_bytes()).hexdigest() == log_sha
+
+
 def test_train_exit_2_on_bad_config(cfg_path, capsys):
     path = cfg_path(softening={"mode": "soft"})
     assert main(["train", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
+    # non-finite and degenerate values fail up front, never mid-run
+    for overrides in ({"softening": {"k": "nan"}}, {"train": {"lr0": "nan"}},
+                      {"train": {"lr0": "inf"}}, {"train": {"weight_decay": "inf"}},
+                      {"sampler": {"sigma": "nan"}},
+                      {"train": {"sigma_decay_final_epochs": 1,
+                                 "sigma_decay_factor": "inf"}}):
+        assert main(["train", "--config", cfg_path(**overrides)]) == 2, overrides
+        assert "error:" in capsys.readouterr().err
+    assert main(["curve", "--config", cfg_path(dataset={"num_classes": 0})]) == 2
+    assert "num_classes" in capsys.readouterr().err
 
 
 def test_train_exit_2_on_missing_config(capsys):

@@ -7,14 +7,11 @@ from softaug import (
     ParseError,
     RandomSource,
     compute_stats,
-    denormalize,
     flip_horizontal,
     hflip,
-    load_dataset,
     normalize,
     parse_cifar10,
     parse_cifar100,
-    save_dataset,
     synth_shapes,
 )
 
@@ -153,9 +150,7 @@ def test_compute_stats_and_normalize_roundtrip():
     normalized = normalize(ds, stats)
     assert normalized.images.mean(axis=(0, 2, 3)) == pytest.approx(np.zeros(3), abs=1e-9)
     assert normalized.images.std(axis=(0, 2, 3)) == pytest.approx(np.ones(3), abs=1e-9)
-    back = denormalize(normalized, stats)
-    assert back.images == pytest.approx(ds.images, abs=1e-6)
-    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(normalized.labels, ds.labels)
 
 
 def test_normalize_hand_values():
@@ -181,40 +176,3 @@ def test_dataset_validation():
         LabeledDataset(images, np.zeros(3, dtype=np.int64), num_classes=4, split="train")
     with pytest.raises(ValueError):
         LabeledDataset(images, np.zeros(4, dtype=np.int64), num_classes=4, split="dev")
-
-
-def test_save_load_roundtrip(tmp_path):
-    ds = synth_shapes(6, 3, seed=14, split="test")
-    path = str(tmp_path / "shapes.bin")
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.images, ds.images)
-    assert np.array_equal(loaded.labels, ds.labels)
-    assert loaded.num_classes == ds.num_classes
-    assert loaded.split == ds.split
-
-
-def test_load_rejects_corrupt_container(tmp_path):
-    ds = synth_shapes(2, 2, seed=15)
-    path = str(tmp_path / "shapes.bin")
-    save_dataset(ds, path)
-    blob = open(path, "rb").read()
-    bad_magic = b"XXXXXXXX" + blob[8:]
-    bad_path = str(tmp_path / "bad.bin")
-    open(bad_path, "wb").write(bad_magic)
-    with pytest.raises(ParseError):
-        load_dataset(bad_path)
-    open(bad_path, "wb").write(blob[:-10])
-    with pytest.raises(ParseError):
-        load_dataset(bad_path)
-
-
-def test_cifar_roundtrip_through_serializer(tmp_path):
-    pixels = list(range(256)) * 12
-    blob = cifar10_record(3, pixels) + cifar10_record(9, pixels[::-1])
-    ds = parse_cifar10(blob, split="test")
-    path = str(tmp_path / "cifar.bin")
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.images, ds.images)
-    assert np.array_equal(loaded.labels, ds.labels)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from softaug import (
-    LOSS_MODES,
-    batch_loss,
+    MODES,
     log_softmax,
+    loss_and_grad,
     make_soft_target,
     soft_loss,
     soft_loss_grad,
@@ -99,7 +99,7 @@ def test_p_one_collapses_to_cross_entropy():
     for _ in range(100):
         logits = rng.normal(0.0, 2.0, 10)
         ce = -log_softmax(logits)[4]
-        for mode in LOSS_MODES:
+        for mode in MODES:
             assert soft_loss(logits, 4, 1.0, mode) == pytest.approx(ce, abs=1e-10)
 
 
@@ -108,7 +108,7 @@ def test_loss_nonnegative_and_zero_at_match():
     for _ in range(200):
         logits = rng.normal(0.0, 3.0, 6)
         p = float(rng.uniform(1 / 6, 1.0))
-        for mode in LOSS_MODES:
+        for mode in MODES:
             assert soft_loss(logits, 2, p, mode) >= 0.0
     # target equal to softmax: KL is 0 up to roundoff, clamped to >= 0
     uniform = np.zeros(5)
@@ -135,7 +135,7 @@ def test_weight_grad_is_scaled_hard_grad():
 
 def test_grad_matches_finite_differences_all_modes():
     rng = np.random.default_rng(46)
-    for mode in LOSS_MODES:
+    for mode in MODES:
         for _ in range(25):
             logits = rng.normal(0.0, 2.0, 10)
             true_class = int(rng.integers(0, 10))
@@ -156,19 +156,52 @@ def test_soft_loss_rejects_bad_mode_and_confidence():
         soft_loss(np.zeros(4), 0, 0.1, "target")  # below chance for soft target
 
 
-def test_batch_loss_is_plain_mean():
+def test_loss_and_grad_rows_are_per_sample_views():
     rng = np.random.default_rng(47)
-    samples = [(rng.normal(0.0, 2.0, 6), int(rng.integers(0, 6)), float(rng.uniform(1 / 6, 1.0)))
-               for _ in range(9)]
-    per_sample = [soft_loss(lg, tc, p, "target_and_weight") for lg, tc, p in samples]
-    assert batch_loss(samples, "target_and_weight") == pytest.approx(
-        sum(per_sample) / 9, abs=1e-12)
+    b, n = 7, 6
+    logits = rng.normal(0.0, 2.0, (b, n))
+    labels = rng.integers(0, n, b)
+    ps = rng.uniform(1 / n, 1.0, b)
+    for mode in MODES:
+        loss, grad = loss_and_grad(logits, labels, ps, mode)
+        per_sample = [soft_loss(logits[i], labels[i], ps[i], mode) for i in range(b)]
+        assert loss == pytest.approx(sum(per_sample) / b, abs=1e-12)
+        for i in range(b):
+            assert grad[i] == pytest.approx(
+                soft_loss_grad(logits[i], labels[i], ps[i], mode) / b, abs=1e-15)
 
 
-def test_batch_loss_degenerate_cases():
-    sample = (np.array([1.0, -2.0, 0.5]), 1, 1.0)
-    single = batch_loss([sample], "hard")
-    assert single == soft_loss(*sample, "hard")
-    assert batch_loss([sample, sample], "hard") == pytest.approx(single, abs=1e-12)
+def test_loss_and_grad_degenerate_cases():
+    # soft targets hold p to [1/N, 1] strictly, in the batch and per sample
+    n = 4
+    below = 1 / n - 1e-13
+    logits = np.zeros((1, n))
+    for mode in ("target", "target_and_weight"):
+        with pytest.raises(ValueError):
+            loss_and_grad(logits, np.array([0]), np.array([below]), mode)
+        with pytest.raises(ValueError):
+            soft_loss(logits[0], 0, below, mode)
     with pytest.raises(ValueError):
-        batch_loss([], "hard")
+        make_soft_target(0, below, n)
+    assert loss_and_grad(logits, np.array([0]), np.array([1 / n]), "target")[0] \
+        == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        loss_and_grad(logits, np.array([0]), np.array([1.0]), "none")
+    with pytest.raises(ValueError):
+        loss_and_grad(np.zeros((0, n)), np.array([], dtype=int), np.array([]), "hard")
+    row = np.array([1.0, -2.0, 0.5])
+    single, _ = loss_and_grad(row[None, :], np.array([1]), np.array([1.0]), "hard")
+    assert single == soft_loss(row, 1, 1.0, "hard")
+    double, _ = loss_and_grad(np.stack([row, row]), np.array([1, 1]), np.ones(2), "hard")
+    assert double == pytest.approx(single, abs=1e-12)
+
+
+@pytest.mark.parametrize("logits", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0],
+                                    [-math.inf] * 3])
+def test_nonfinite_logits_give_nan_loss(logits):
+    # the training path reports these as NaN; the per-sample view must agree
+    logits = np.array(logits)
+    with np.errstate(invalid="ignore"):
+        for mode in MODES:
+            assert math.isnan(soft_loss(logits, 2, 1.0, mode)), mode
+            assert np.isnan(soft_loss_grad(logits, 2, 1.0, mode)).any(), mode

@@ -244,6 +244,8 @@ def test_sigma_decay_validates():
         SigmaDecay(final_epochs=-1, factor=1000.0)
     with pytest.raises(ValueError):
         SigmaDecay(final_epochs=10, factor=0.5)
+    with pytest.raises(ValueError):
+        SigmaDecay(final_epochs=10, factor=math.inf)
 
 
 # --- train config ---
@@ -252,6 +254,11 @@ def test_sigma_decay_validates():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         small_train_config(lr0=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            small_train_config(lr0=bad)
+        with pytest.raises(ValueError):
+            small_train_config(weight_decay=bad)
     with pytest.raises(ValueError):
         small_train_config(momentum=1.0)
     with pytest.raises(ValueError):

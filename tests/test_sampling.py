@@ -146,6 +146,11 @@ def test_sampler_config_validation():
         UniformCropConfig(range_r=-1)
     with pytest.raises(ValueError):
         ResizeCropConfig(sigma=0.3, width=32, height=32, min_length=33)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GaussianCropConfig(sigma=sigma, length=32)
+        with pytest.raises(ValueError):
+            ResizeCropConfig(sigma=sigma, width=32, height=32, min_length=8)
 
 
 # --- resize crop ---

@@ -19,7 +19,13 @@ def test_policy_validation():
         SofteningPolicy(p_min=-0.01)
     with pytest.raises(ValueError):
         SofteningPolicy(mode="soft")
-    SofteningPolicy(k=0.0, p_min=0.0, mode="none")
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SofteningPolicy(k=k)
+    with pytest.raises(ValueError):
+        SofteningPolicy(p_min=float("nan"))
+    # "none" is the one accepted alias; it is stored as "hard"
+    assert SofteningPolicy(k=0.0, p_min=0.0, mode="none").mode == "hard"
 
 
 def test_soften_boundaries_exact():
