@@ -6,6 +6,7 @@ from .sampling import (
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
+    StandardCropConfig,
     UniformCropConfig,
     draw_gaussian_window,
     draw_offset,

@@ -15,12 +15,13 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    IMAGE_EDGE,
     LabeledDataset,
     compute_stats,
     normalize,
@@ -29,7 +30,6 @@ from .data import (
     synth_shapes,
 )
 from .geometry import crop_visibility, visibility
-from .loss import canonical_mode
 from .metrics import (
     DEFAULT_OCCLUSION_GRID,
     ece,
@@ -51,19 +51,19 @@ from .sampling import (
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
+    StandardCropConfig,
     UniformCropConfig,
     draw_gaussian_window,
     draw_resize_crop,
     draw_standard_resize_crop,
     draw_uniform_window,
 )
-from .softening import SofteningPolicy, soften
+from .softening import SofteningPolicy, label_smoothing_confidence, soften
 
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
 
 _SOURCES = ("synth", "cifar10", "cifar100")
-_KINDS = ("gaussian", "uniform", "resize_crop", "standard")
 
 _SECTION_KEYS = {
     "dataset": {"source", "num_classes", "train_per_class", "test_per_class",
@@ -89,53 +89,32 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Everything that determines the data; arms compare only on equal specs."""
+
+    source: str
+    num_classes: int
+    train_per_class: int = 0
+    test_per_class: int = 0
+    seed: int = 0
+    train_path: str = ""
+    test_path: str = ""
+
+    def __post_init__(self) -> None:
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of one experiment INI plus its raw bytes."""
+    """One experiment INI: its raw bytes, the data, how to train, where to write."""
 
     path: str
     raw: bytes
-    # dataset
-    source: str
-    num_classes: int
-    train_per_class: int
-    test_per_class: int
-    data_seed: int
-    train_path: str
-    test_path: str
-    # sampler
-    sampler_kind: str
-    sigma: float
-    range_r: int
-    length: int  # 0 means "use the image edge"
-    width: int
-    height: int
-    min_length: int
-    scale_min: float
-    scale_max: float
-    ratio_min: float
-    ratio_max: float
-    # softening
-    soften_mode: str
-    k: float
-    alpha: float | None
-    # train
-    epochs: int
-    batch_size: int
-    lr0: float
-    momentum: float
-    weight_decay: float
-    train_seed: int
-    hidden_sizes: tuple[int, ...]
-    sigma_decay_final: int
-    sigma_decay_factor: float
-    # output
+    dataset: DatasetSpec
+    train: TrainConfig
     out_dir: str
-
-    def dataset_key(self) -> tuple:
-        """Everything that determines the data; compared across arms."""
-        return (self.source, self.num_classes, self.train_per_class,
-                self.test_per_class, self.data_seed, self.train_path, self.test_path)
 
 
 def _value(parser: configparser.ConfigParser, section: str, key: str, kind,
@@ -151,6 +130,21 @@ def _value(parser: configparser.ConfigParser, section: str, key: str, kind,
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
+def _given(parser: configparser.ConfigParser, section: str, kinds: dict) -> dict:
+    """The keys of ``kinds`` that ``section`` sets, parsed; absent keys are
+    left out so the dataclass default applies."""
+    return {key: _value(parser, section, key, kind)
+            for key, kind in kinds.items() if parser.has_option(section, key)}
+
+
+def _build(section: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)`` with its ValueError naming ``section``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _parse_hidden(raw: str) -> tuple[int, ...]:
     parts = [part.strip() for part in raw.split(",") if part.strip()]
     if not parts:
@@ -158,11 +152,74 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
+def _parse_dataset(parser: configparser.ConfigParser) -> DatasetSpec:
+    source = _value(parser, "dataset", "source", str, required=True)
+    if source not in _SOURCES:
+        raise ConfigError(f"[dataset] source must be one of {_SOURCES}, got {source!r}")
+    if source == "synth":
+        foreign = ("train_path", "test_path")
+        required = ("num_classes", "train_per_class", "test_per_class")
+    else:
+        foreign = ("train_per_class", "test_per_class", "seed")
+        required = ("train_path", "test_path")
+    for key in foreign:
+        if parser.has_option("dataset", key):
+            raise ConfigError(f"[dataset] {key} does not apply to source={source}")
+    fields = _given(parser, "dataset", {
+        "num_classes": int, "train_per_class": int, "test_per_class": int, "seed": int,
+        "train_path": str, "test_path": str})
+    if source != "synth":
+        fixed = 10 if source == "cifar10" else 100
+        if fields.setdefault("num_classes", fixed) != fixed:
+            raise ConfigError(f"[dataset] num_classes must be {fixed} for {source}")
+    for key in required:
+        if key not in fields:
+            raise ConfigError(f"[dataset] is missing required key '{key}'")
+    return _build("dataset", DatasetSpec, source, **fields)
+
+
+def _parse_sampler(parser: configparser.ConfigParser):
+    kind = _value(parser, "sampler", "kind", str, required=True)
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"[sampler] kind must be one of {tuple(_KIND_KEYS)}, got {kind!r}")
+    required_keys, optional_keys = _KIND_KEYS[kind]
+    allowed = required_keys | optional_keys | {"kind"}
+    for key in parser.options("sampler"):
+        if key not in allowed:
+            raise ConfigError(f"[sampler] {key} does not apply to kind={kind}")
+    for key in required_keys:
+        if not parser.has_option("sampler", key):
+            raise ConfigError(f"[sampler] kind={kind} requires key '{key}'")
+
+    def get(key, parse, default=None):
+        return _value(parser, "sampler", key, parse, default)
+
+    if kind in ("gaussian", "uniform"):
+        # every source renders IMAGE_EDGE-px images
+        length = get("length", int, IMAGE_EDGE)
+        if length != IMAGE_EDGE:
+            raise ConfigError(f"[sampler] length {length} != image edge {IMAGE_EDGE}")
+        if kind == "gaussian":
+            return _build("sampler", GaussianCropConfig, get("sigma", float), IMAGE_EDGE)
+        range_r = get("range", int)
+        if range_r > IMAGE_EDGE:
+            raise ConfigError(f"[sampler] range {range_r} exceeds image edge {IMAGE_EDGE}")
+        return _build("sampler", UniformCropConfig, range_r)
+    width, height = get("width", int, 224), get("height", int, 224)
+    if kind == "resize_crop":
+        return _build("sampler", ResizeCropConfig, get("sigma", float), width, height,
+                      get("min_length", int))
+    return _build("sampler", StandardCropConfig, width, height, **_given(parser, "sampler", {
+        "scale_min": float, "scale_max": float, "ratio_min": float, "ratio_max": float}))
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate one experiment INI.
 
     Unknown sections or keys are rejected so typos fail loudly instead
-    of silently reverting to defaults.
+    of silently reverting to defaults. Keys the INI leaves out take the
+    library dataclasses' defaults; the dataclasses check each value and
+    this function checks the rules that span keys or sections.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -182,160 +239,58 @@ def parse_config(path: str) -> ExperimentConfig:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    source = _value(parser, "dataset", "source", str, required=True)
-    if source not in _SOURCES:
-        raise ConfigError(f"[dataset] source must be one of {_SOURCES}, got {source!r}")
-    if source == "synth":
-        for key in ("train_path", "test_path"):
-            if parser.has_option("dataset", key):
-                raise ConfigError(f"[dataset] {key} does not apply to source=synth")
-        num_classes = _value(parser, "dataset", "num_classes", int, required=True)
-        train_per_class = _value(parser, "dataset", "train_per_class", int, required=True)
-        test_per_class = _value(parser, "dataset", "test_per_class", int, required=True)
-        data_seed = _value(parser, "dataset", "seed", int, default=0)
-        train_path = test_path = ""
-    else:
-        for key in ("train_per_class", "test_per_class", "seed"):
-            if parser.has_option("dataset", key):
-                raise ConfigError(f"[dataset] {key} does not apply to source={source}")
-        fixed = 10 if source == "cifar10" else 100
-        num_classes = _value(parser, "dataset", "num_classes", int, default=fixed)
-        if num_classes != fixed:
-            raise ConfigError(f"[dataset] num_classes must be {fixed} for {source}")
-        train_path = _value(parser, "dataset", "train_path", str, required=True)
-        test_path = _value(parser, "dataset", "test_path", str, required=True)
-        train_per_class = test_per_class = 0
-        data_seed = 0
-    if num_classes < 2:
-        raise ConfigError(f"[dataset] num_classes must be >= 2, got {num_classes}")
+    dataset = _parse_dataset(parser)
+    sampler = _parse_sampler(parser)
 
-    kind = _value(parser, "sampler", "kind", str, required=True)
-    if kind not in _KINDS:
-        raise ConfigError(f"[sampler] kind must be one of {_KINDS}, got {kind!r}")
-    required_keys, optional_keys = _KIND_KEYS[kind]
-    allowed = required_keys | optional_keys | {"kind"}
-    for key in parser.options("sampler"):
-        if key not in allowed:
-            raise ConfigError(f"[sampler] {key} does not apply to kind={kind}")
-    for key in required_keys:
-        if not parser.has_option("sampler", key):
-            raise ConfigError(f"[sampler] kind={kind} requires key '{key}'")
-    sigma = _value(parser, "sampler", "sigma", float, default=0.0)
-    range_r = _value(parser, "sampler", "range", int, default=0)
-    length = _value(parser, "sampler", "length", int, default=0)
-    width = _value(parser, "sampler", "width", int, default=224)
-    height = _value(parser, "sampler", "height", int, default=224)
-    min_length = _value(parser, "sampler", "min_length", int, default=0)
-    scale_min = _value(parser, "sampler", "scale_min", float, default=0.08)
-    scale_max = _value(parser, "sampler", "scale_max", float, default=1.0)
-    ratio_min = _value(parser, "sampler", "ratio_min", float, default=3.0 / 4.0)
-    ratio_max = _value(parser, "sampler", "ratio_max", float, default=4.0 / 3.0)
-
-    mode_raw = _value(parser, "softening", "mode", str, required=True)
-    try:
-        mode = canonical_mode(mode_raw)
-    except ValueError as exc:
-        raise ConfigError(f"[softening] {exc}") from None
-    k = _value(parser, "softening", "k", float, default=2.0)
+    chance = 1.0 / dataset.num_classes
     p_min = _value(parser, "softening", "p_min", float)
-    if p_min is not None and p_min != 1.0 / num_classes:
+    if p_min is not None and p_min != chance:
         raise ConfigError(
-            f"[softening] p_min is derived as 1/num_classes = {1.0 / num_classes!r}; "
+            f"[softening] p_min is derived as 1/num_classes = {chance!r}; "
             f"remove the key or set it to exactly that value"
         )
+    policy = _build("softening", SofteningPolicy, p_min=chance,
+                    mode=_value(parser, "softening", "mode", str, required=True),
+                    **_given(parser, "softening", {"k": float}))
     alpha = _value(parser, "softening", "alpha", float)
-    if alpha is not None:
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigError(f"[softening] alpha must be in [0, 1), got {alpha}")
-        if 1.0 - alpha < 1.0 / num_classes:
-            raise ConfigError(
-                f"[softening] alpha={alpha} puts the constant confidence below "
-                f"chance level 1/{num_classes}"
-            )
+    if alpha is not None and _build("softening", label_smoothing_confidence, alpha) < chance:
+        raise ConfigError(
+            f"[softening] alpha={alpha} puts the constant confidence below "
+            f"chance level 1/{dataset.num_classes}"
+        )
 
-    epochs = _value(parser, "train", "epochs", int, required=True)
-    batch_size = _value(parser, "train", "batch_size", int, required=True)
-    lr0 = _value(parser, "train", "lr0", float, required=True)
-    momentum = _value(parser, "train", "momentum", float, default=0.9)
-    weight_decay = _value(parser, "train", "weight_decay", float, default=5e-4)
-    train_seed = _value(parser, "train", "seed", int, default=0)
-    hidden = _value(parser, "train", "hidden", _parse_hidden, default=(256,))
-    sd_final = _value(parser, "train", "sigma_decay_final_epochs", int, default=0)
-    sd_factor = _value(parser, "train", "sigma_decay_factor", float, default=1000.0)
-
-    out_dir = _value(parser, "output", "dir", str, required=True)
-
-    return ExperimentConfig(
-        path=path, raw=raw,
-        source=source, num_classes=num_classes, train_per_class=train_per_class,
-        test_per_class=test_per_class, data_seed=data_seed,
-        train_path=train_path, test_path=test_path,
-        sampler_kind=kind, sigma=sigma, range_r=range_r, length=length,
-        width=width, height=height, min_length=min_length,
-        scale_min=scale_min, scale_max=scale_max,
-        ratio_min=ratio_min, ratio_max=ratio_max,
-        soften_mode=mode, k=k, alpha=alpha,
-        epochs=epochs, batch_size=batch_size, lr0=lr0, momentum=momentum,
-        weight_decay=weight_decay, train_seed=train_seed, hidden_sizes=hidden,
-        sigma_decay_final=sd_final, sigma_decay_factor=sd_factor,
-        out_dir=out_dir,
+    decay = _build("train", SigmaDecay,
+                   _value(parser, "train", "sigma_decay_final_epochs", int, default=0),
+                   _value(parser, "train", "sigma_decay_factor", float, default=1000.0))
+    options = _given(parser, "train", {"momentum": float, "weight_decay": float, "seed": int})
+    if parser.has_option("train", "hidden"):
+        options["hidden_sizes"] = _value(parser, "train", "hidden", _parse_hidden)
+    train_cfg = _build(
+        "train", TrainConfig,
+        epochs=_value(parser, "train", "epochs", int, required=True),
+        batch_size=_value(parser, "train", "batch_size", int, required=True),
+        lr0=_value(parser, "train", "lr0", float, required=True),
+        policy=policy, sampler=sampler, sigma_decay=decay, fixed_alpha=alpha, **options,
     )
+    out_dir = _value(parser, "output", "dir", str, required=True)
+    return ExperimentConfig(path, raw, dataset, train_cfg, out_dir)
 
 
-def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Construct and normalize the train/test splits a config describes.
+def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
+    """Construct and normalize the train/test splits a spec describes.
 
     Normalization stats always come from the train split.
     """
-    if cfg.source == "synth":
-        train_set = synth_shapes(cfg.train_per_class, cfg.num_classes, cfg.data_seed,
-                                 "train")
-        test_set = synth_shapes(cfg.test_per_class, cfg.num_classes,
-                                cfg.data_seed + TEST_SEED_OFFSET, "test")
+    if spec.source == "synth":
+        train_set = synth_shapes(spec.train_per_class, spec.num_classes, spec.seed, "train")
+        test_set = synth_shapes(spec.test_per_class, spec.num_classes,
+                                spec.seed + TEST_SEED_OFFSET, "test")
     else:
-        parse = parse_cifar10 if cfg.source == "cifar10" else parse_cifar100
-        train_set = parse(Path(cfg.train_path).read_bytes(), "train")
-        test_set = parse(Path(cfg.test_path).read_bytes(), "test")
+        parse = parse_cifar10 if spec.source == "cifar10" else parse_cifar100
+        train_set = parse(Path(spec.train_path).read_bytes(), "train")
+        test_set = parse(Path(spec.test_path).read_bytes(), "test")
     stats = compute_stats(train_set)
     return normalize(train_set, stats), normalize(test_set, stats)
-
-
-def build_policy(cfg: ExperimentConfig) -> SofteningPolicy:
-    return SofteningPolicy(k=cfg.k, p_min=1.0 / cfg.num_classes, mode=cfg.soften_mode)
-
-
-def build_sampler(cfg: ExperimentConfig,
-                  edge: int) -> GaussianCropConfig | UniformCropConfig:
-    """The same-size offset sampler of a gaussian or uniform config, for
-    square images of side ``edge``."""
-    if cfg.length and cfg.length != edge:
-        raise ConfigError(f"[sampler] length {cfg.length} != image edge {edge}")
-    if cfg.sampler_kind == "gaussian":
-        return GaussianCropConfig(cfg.sigma, edge)
-    if cfg.sampler_kind == "uniform":
-        return UniformCropConfig(cfg.range_r)
-    raise ConfigError(
-        f"[sampler] kind={cfg.sampler_kind} cannot train; use gaussian or uniform"
-    )
-
-
-def build_train_config(cfg: ExperimentConfig, image_edge: int,
-                       seed: int | None = None) -> TrainConfig:
-    sampler = build_sampler(cfg, image_edge)
-    decay = None
-    if cfg.sigma_decay_final > 0:
-        decay = SigmaDecay(cfg.sigma_decay_final, cfg.sigma_decay_factor)
-    try:
-        return TrainConfig(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, lr0=cfg.lr0,
-            policy=build_policy(cfg), sampler=sampler, momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            seed=cfg.train_seed if seed is None else seed,
-            hidden_sizes=cfg.hidden_sizes, sigma_decay=decay,
-            fixed_alpha=cfg.alpha,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _fmt(value) -> str:
@@ -362,9 +317,8 @@ def cmd_train(args: argparse.Namespace) -> None:
     os.makedirs(out, exist_ok=True)
     # snapshot first: a crashed run still records what it was
     _snapshot(cfg, out)
-    train_set, test_set = build_datasets(cfg)
-    edge = train_set.images.shape[2]
-    tcfg = build_train_config(cfg, edge, seed=args.seed)
+    train_set, test_set = build_datasets(cfg.dataset)
+    tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     model, log = train(train_set, tcfg)
     _write_csv(
         out / "epoch_log.csv",
@@ -398,18 +352,18 @@ def cmd_curve(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
-    ks = _parse_float_list(args.k_list, "--k-list") if args.k_list else (cfg.k,)
+    policy = cfg.train.policy
+    ks = _parse_float_list(args.k_list, "--k-list") if args.k_list else (policy.k,)
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
-    p_min = 1.0 / cfg.num_classes
     rows = []
     for k in ks:
-        policy = SofteningPolicy(k=k, p_min=p_min, mode="target_and_weight")
+        curve = replace(policy, k=k)
         for v in np.linspace(0.0, 1.0, args.points):
-            rows.append([k, float(v), soften(float(v), policy)])
+            rows.append([k, float(v), soften(float(v), curve)])
     _write_csv(out / "curve.csv", ["k", "v", "p"], rows)
     print(f"curve: wrote {out / 'curve.csv'} "
-          f"({len(ks)} curve(s) x {args.points} points, p_min={p_min:g})")
+          f"({len(ks)} curve(s) x {args.points} points, p_min={policy.p_min:g})")
 
 
 def cmd_occlusion(args: argparse.Namespace) -> None:
@@ -424,7 +378,7 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
         lambdas = DEFAULT_OCCLUSION_GRID
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
-    _, test_set = build_datasets(cfg)
+    _, test_set = build_datasets(cfg.dataset)
     model = load_checkpoint(args.checkpoint)
     n, c, h, w = test_set.images.shape
     if model.layer_sizes[0] != c * h * w or model.layer_sizes[-1] != test_set.num_classes:
@@ -457,45 +411,38 @@ def _visibility_rows(vs: np.ndarray) -> list[list]:
     return rows
 
 
-def _sampler_stats_rows(cfg: ExperimentConfig, draws: int, seed: int) -> list[list]:
+def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
     rng = RandomSource(seed)
-    rows: list[list] = [["kind", cfg.sampler_kind], ["draws", draws]]
-    if cfg.sampler_kind in ("gaussian", "uniform"):
-        edge = cfg.length if cfg.length else 32
-        sampler_cfg = build_sampler(cfg, edge)
-        draw = (draw_gaussian_window if cfg.sampler_kind == "gaussian"
-                else draw_uniform_window)
+    kind = {GaussianCropConfig: "gaussian", UniformCropConfig: "uniform",
+            ResizeCropConfig: "resize_crop", StandardCropConfig: "standard"}[type(sampler)]
+    rows: list[list] = [["kind", kind], ["draws", draws]]
+    if kind in ("gaussian", "uniform"):
+        draw = draw_gaussian_window if kind == "gaussian" else draw_uniform_window
         offsets = np.empty(2 * draws)
         vs = np.empty(draws)
         for i in range(draws):
-            tx, ty = draw(sampler_cfg, rng)
+            tx, ty = draw(sampler, rng)
             offsets[2 * i] = tx
             offsets[2 * i + 1] = ty
-            vs[i] = visibility(tx, ty, edge, edge)
+            vs[i] = visibility(tx, ty, IMAGE_EDGE, IMAGE_EDGE)
         rows += [
-            ["edge", edge],
+            ["edge", IMAGE_EDGE],
             ["mean_offset", offsets.mean()],
             ["std_offset", offsets.std()],
             ["min_offset", int(offsets.min())],
             ["max_offset", int(offsets.max())],
         ]
         return rows + _visibility_rows(vs)
-    if cfg.sampler_kind == "resize_crop":
-        sampler_cfg = ResizeCropConfig(cfg.sigma, cfg.width, cfg.height, cfg.min_length)
-        windows = [draw_resize_crop(sampler_cfg, rng) for _ in range(draws)]
-    else:
-        windows = [
-            draw_standard_resize_crop(cfg.width, cfg.height, rng, cfg.scale_min,
-                                      cfg.scale_max, cfg.ratio_min, cfg.ratio_max)
-            for _ in range(draws)
-        ]
+    draw = draw_resize_crop if kind == "resize_crop" else draw_standard_resize_crop
+    windows = [draw(sampler, rng) for _ in range(draws)]
+    width, height = sampler.width, sampler.height
     ws = np.array([win.w for win in windows], dtype=float)
     hs = np.array([win.h for win in windows], dtype=float)
-    vs = np.array([crop_visibility(win, cfg.width, cfg.height) for win in windows])
-    area = cfg.width * cfg.height
+    vs = np.array([crop_visibility(win, width, height) for win in windows])
+    area = width * height
     rows += [
-        ["width", cfg.width],
-        ["height", cfg.height],
+        ["width", width],
+        ["height", height],
         ["mean_w", ws.mean()],
         ["mean_h", hs.mean()],
         ["min_w", int(ws.min())],
@@ -513,7 +460,7 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
-    rows = _sampler_stats_rows(cfg, args.draws, args.seed)
+    rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     _write_csv(out / "sampler_stats.csv", ["metric", "value"], rows)
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
@@ -523,30 +470,28 @@ def cmd_compare(args: argparse.Namespace) -> None:
     cfg_b = parse_config(args.config_b)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    if cfg_a.dataset_key() != cfg_b.dataset_key():
+    if cfg_a.dataset != cfg_b.dataset:
         raise ConfigError(
             "compare needs both arms on identical [dataset] settings; "
-            f"got {cfg_a.dataset_key()} vs {cfg_b.dataset_key()}"
+            f"got {cfg_a.dataset} vs {cfg_b.dataset}"
         )
     out = Path(args.out or cfg_a.out_dir)
     os.makedirs(out, exist_ok=True)
     _snapshot(cfg_a, out, "config_a.ini")
     _snapshot(cfg_b, out, "config_b.ini")
-    train_set, test_set = build_datasets(cfg_a)
-    edge = train_set.images.shape[2]
+    train_set, test_set = build_datasets(cfg_a.dataset)
     name_a = Path(args.config_a).stem
     name_b = Path(args.config_b).stem
     if name_a == name_b:
         name_a += "_a"
         name_b += "_b"
-    base = cfg_a.train_seed if args.seed is None else args.seed
+    base = cfg_a.train.seed if args.seed is None else args.seed
     rows: list[list] = []
     means = {}
     for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)):
         errs, eces = [], []
         for i in range(args.seeds):
-            tcfg = build_train_config(cfg, edge, seed=base + i)
-            model, _ = train(train_set, tcfg)
+            model, _ = train(train_set, replace(cfg.train, seed=base + i))
             records = evaluate(model, test_set)
             errs.append(top1_error(records))
             eces.append(ece(records).ece)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .sampling import RandomSource
 
+IMAGE_EDGE = 32  # every source renders or decodes square 32x32 images
 CIFAR10_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 CIFAR100_RECORD = 3074  # coarse + fine label bytes + pixels
 
@@ -86,7 +87,7 @@ def _parse_cifar(data: bytes, record_size: int, label_index: int, label_count: i
         raise ParseError(
             f"record {bad[0]}: label {labels[bad[0]]} out of range [0, {label_count})"
         )
-    pixels = records[:, record_size - 3072 :].reshape(-1, 3, 32, 32)
+    pixels = records[:, -3 * IMAGE_EDGE**2 :].reshape(-1, 3, IMAGE_EDGE, IMAGE_EDGE)
     images = pixels.astype(np.float64) / 255.0
     return LabeledDataset(images, labels, label_count, split)
 
@@ -134,7 +135,7 @@ def synth_shapes(num_per_class: int, num_classes: int, seed: int,
         raise ValueError(f"num_classes must be in [2, {2 * len(SHAPE_NAMES)}], got {num_classes}")
     if num_per_class < 1:
         raise ValueError(f"num_per_class must be >= 1, got {num_per_class}")
-    size = 32
+    size = IMAGE_EDGE
     rng = RandomSource(seed)
     images = np.empty((num_classes * num_per_class, 3, size, size))
     labels = np.empty(num_classes * num_per_class, dtype=np.int64)

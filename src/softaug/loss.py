@@ -51,9 +51,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis; each row is shifted by its max
+    so every exponent is <= 0."""
     z = np.asarray(logits, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _soft_targets(labels: np.ndarray, ps: np.ndarray, num_classes: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .geometry import occlude
+from .loss import softmax
 from .model import MlpClassifier, forward_batch
 from .sampling import RandomSource
 
@@ -65,10 +66,7 @@ def evaluate(model: MlpClassifier, dataset: LabeledDataset) -> list[PredictionRe
     """Softmax predictions for every image, in dataset order, unaugmented."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = forward_batch(model, dataset.images)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = softmax(forward_batch(model, dataset.images))
     return [
         PredictionRecord.from_probs(row, int(label))
         for row, label in zip(probs, dataset.labels)

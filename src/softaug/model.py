@@ -22,6 +22,7 @@ from .sampling import (
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
+    StandardCropConfig,
     UniformCropConfig,
     draw_gaussian_window,
     draw_uniform_window,
@@ -176,9 +177,9 @@ class SigmaDecay:
 
     def __post_init__(self) -> None:
         if self.final_epochs < 0:
-            raise ValueError(f"final_epochs must be >= 0, got {self.final_epochs}")
+            raise ValueError(f"sigma decay final_epochs must be >= 0, got {self.final_epochs}")
         if not 1.0 <= self.factor < math.inf:
-            raise ValueError(f"factor must be finite and >= 1, got {self.factor}")
+            raise ValueError(f"sigma decay factor must be finite and >= 1, got {self.factor}")
 
 
 @dataclass
@@ -187,7 +188,8 @@ class TrainConfig:
     batch_size: int
     lr0: float
     policy: SofteningPolicy
-    sampler: GaussianCropConfig | UniformCropConfig
+    # train() takes gaussian or uniform; the resize crops serve sampler-stats
+    sampler: GaussianCropConfig | UniformCropConfig | ResizeCropConfig | StandardCropConfig
     momentum: float = 0.9
     weight_decay: float = 5e-4
     seed: int = 0
@@ -198,8 +200,8 @@ class TrainConfig:
     fixed_alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha < 1.0:
-            raise ValueError(f"fixed_alpha must be in [0, 1), got {self.fixed_alpha}")
+        if self.fixed_alpha is not None:
+            label_smoothing_confidence(self.fixed_alpha)  # range check
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -210,11 +212,6 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if isinstance(self.sampler, ResizeCropConfig):
-            raise ValueError(
-                "resize-crop sampling needs sub-pixel resampling, which this "
-                "integer-geometry trainer does not do; use gaussian or uniform"
-            )
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
@@ -272,6 +269,11 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     _, c, h, w = dataset.images.shape
     if h != w:
         raise ValueError(f"same-size crop training expects square images, got {h}x{w}")
+    if not isinstance(cfg.sampler, (GaussianCropConfig, UniformCropConfig)):
+        raise ValueError(
+            "resize-crop sampling needs sub-pixel resampling, which this "
+            "integer-geometry trainer does not do; use gaussian or uniform"
+        )
     if isinstance(cfg.sampler, GaussianCropConfig) and cfg.sampler.length != h:
         raise ValueError(f"sampler length {cfg.sampler.length} != image edge {h}")
     if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > h:

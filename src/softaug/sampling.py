@@ -114,6 +114,32 @@ class ResizeCropConfig:
             )
 
 
+@dataclass(frozen=True)
+class StandardCropConfig:
+    """Area/aspect crop of a width x height image: the crop area is a
+    uniform fraction of the image in [scale_min, scale_max], its aspect
+    log-uniform in [ratio_min, ratio_max]."""
+
+    width: int
+    height: int
+    scale_min: float = 0.08
+    scale_max: float = 1.0
+    ratio_min: float = 3.0 / 4.0
+    ratio_max: float = 4.0 / 3.0
+
+    def __post_init__(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"width and height must be >= 1, got {self.width}x{self.height}")
+        if not 0 < self.scale_min <= self.scale_max <= 1:
+            raise ValueError(
+                f"need 0 < scale_min <= scale_max <= 1, got [{self.scale_min}, {self.scale_max}]"
+            )
+        if not 0 < self.ratio_min <= self.ratio_max < math.inf:
+            raise ValueError(
+                f"need 0 < ratio_min <= ratio_max < inf, got [{self.ratio_min}, {self.ratio_max}]"
+            )
+
+
 def draw_offset(limit: float, sigma_abs: float, rng: RandomSource,
                 max_rejections: int = MAX_REJECTIONS) -> int:
     """Gaussian integer offset with magnitude at most ``limit``.
@@ -186,15 +212,7 @@ def _centered_offset(full: int, side: int, sigma: float, rng: RandomSource) -> i
     return int(max(-bound, min(bound, x)))
 
 
-def draw_standard_resize_crop(
-    width: int,
-    height: int,
-    rng: RandomSource,
-    scale_min: float = 0.08,
-    scale_max: float = 1.0,
-    ratio_min: float = 3.0 / 4.0,
-    ratio_max: float = 4.0 / 3.0,
-) -> CropWindow:
+def draw_standard_resize_crop(cfg: StandardCropConfig, rng: RandomSource) -> CropWindow:
     """Conventional area/aspect crop used as the resize-crop baseline.
 
     The target area is one uniform fraction of the image area per call;
@@ -204,13 +222,11 @@ def draw_standard_resize_crop(
     (scale_min + scale_max) / 2) instead of biasing them small. If no
     aspect fits, the largest centered square is returned.
     """
-    if not 0 < scale_min <= scale_max <= 1:
-        raise ValueError(f"need 0 < scale_min <= scale_max <= 1, got [{scale_min}, {scale_max}]")
-    if not 0 < ratio_min <= ratio_max:
-        raise ValueError(f"need 0 < ratio_min <= ratio_max, got [{ratio_min}, {ratio_max}]")
-    target = rng.uniform(scale_min, scale_max) * (width * height)
+    width, height = cfg.width, cfg.height
+    target = rng.uniform(cfg.scale_min, cfg.scale_max) * (width * height)
+    log_ratio_min, log_ratio_max = math.log(cfg.ratio_min), math.log(cfg.ratio_max)
     for _ in range(10):
-        aspect = math.exp(rng.uniform(math.log(ratio_min), math.log(ratio_max)))
+        aspect = math.exp(rng.uniform(log_ratio_min, log_ratio_max))
         w = int(round(math.sqrt(target * aspect)))
         h = int(round(math.sqrt(target / aspect)))
         if 0 < w <= width and 0 < h <= height:

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from softaug import GaussianCropConfig, SigmaDecay, StandardCropConfig
 from softaug.cli import ConfigError, main, parse_config
 
 BASE = {
@@ -46,25 +48,31 @@ def cfg_path(tmp_path):
 
 def test_parse_config_happy_path(cfg_path):
     cfg = parse_config(cfg_path())
-    assert cfg.source == "synth"
-    assert cfg.num_classes == 4
-    assert cfg.sampler_kind == "gaussian"
-    assert cfg.sigma == 0.3
-    assert cfg.soften_mode == "target_and_weight"
-    assert cfg.k == 2.0
-    assert cfg.epochs == 2
-    assert cfg.hidden_sizes == (8,)
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "path", "raw", "dataset", "train", "out_dir"]
+    assert cfg.dataset.source == "synth"
+    assert cfg.dataset.num_classes == 4
+    assert cfg.train.sampler == GaussianCropConfig(0.3, 32)
+    assert cfg.train.policy.mode == "target_and_weight"
+    assert cfg.train.policy.k == 2.0
+    assert cfg.train.policy.p_min == 0.25
+    assert cfg.train.epochs == 2
+    assert cfg.train.hidden_sizes == (8,)
+    # keys the INI leaves out take the dataclass defaults
+    assert cfg.train.momentum == 0.9
+    assert cfg.train.sigma_decay == SigmaDecay(0, 1000.0)
+    assert cfg.train.fixed_alpha is None
     assert cfg.raw == open(cfg.path, "rb").read()
 
 
 def test_parse_config_mode_aliases(cfg_path):
-    assert parse_config(cfg_path(softening={"mode": "hard"})).soften_mode == "hard"
-    assert parse_config(cfg_path(softening={"mode": "none"})).soften_mode == "hard"
+    assert parse_config(cfg_path(softening={"mode": "hard"})).train.policy.mode == "hard"
+    assert parse_config(cfg_path(softening={"mode": "none"})).train.policy.mode == "hard"
 
 
 def test_parse_config_hidden_list(cfg_path):
     cfg = parse_config(cfg_path(train={"hidden": "64, 32"}))
-    assert cfg.hidden_sizes == (64, 32)
+    assert cfg.train.hidden_sizes == (64, 32)
 
 
 def test_parse_config_rejects_unknown_section(tmp_path, cfg_path):
@@ -127,20 +135,20 @@ def test_parse_config_sampler_key_scoping(cfg_path):
     cfg = parse_config(cfg_path(sampler={
         "kind": "standard", "sigma": None, "length": None,
         "width": 224, "height": 224, "scale_min": 0.2}))
-    assert cfg.scale_min == 0.2
-    assert cfg.ratio_min == 0.75
+    assert cfg.train.sampler == StandardCropConfig(224, 224, scale_min=0.2)
+    assert cfg.train.sampler.ratio_min == 0.75
 
 
 def test_parse_config_p_min_must_match_chance(cfg_path):
     cfg = parse_config(cfg_path(softening={"p_min": 0.25}))
-    assert cfg.num_classes == 4
+    assert cfg.dataset.num_classes == 4
     with pytest.raises(ConfigError, match="1/num_classes"):
         parse_config(cfg_path(softening={"p_min": 0.2}))
 
 
 def test_parse_config_alpha_bounds(cfg_path):
     cfg = parse_config(cfg_path(softening={"alpha": 0.1}))
-    assert cfg.alpha == 0.1
+    assert cfg.train.fixed_alpha == 0.1
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(cfg_path(softening={"alpha": 1.0}))
     with pytest.raises(ConfigError, match="chance"):
@@ -229,11 +237,15 @@ def test_train_exit_2_on_bad_config(cfg_path, capsys):
                       {"train": {"lr0": "inf"}}, {"train": {"weight_decay": "inf"}},
                       {"sampler": {"sigma": "nan"}},
                       {"train": {"sigma_decay_final_epochs": 1,
-                                 "sigma_decay_factor": "inf"}}):
+                                 "sigma_decay_factor": "inf"}},
+                      {"train": {"sigma_decay_factor": "inf"}}):
         assert main(["train", "--config", cfg_path(**overrides)]) == 2, overrides
         assert "error:" in capsys.readouterr().err
+    # every command validates the whole config, not only the keys it reads
     assert main(["curve", "--config", cfg_path(dataset={"num_classes": 0})]) == 2
     assert "num_classes" in capsys.readouterr().err
+    assert main(["curve", "--config", cfg_path(train={"lr0": "nan"})]) == 2
+    assert "[train] lr0" in capsys.readouterr().err
 
 
 def test_train_exit_2_on_missing_config(capsys):
@@ -369,6 +381,13 @@ def test_sampler_stats_standard_kind(cfg_path, tmp_path):
     # they cover is exactly their area fraction
     assert rows["frac_visibility_positive"] == "1"
     assert rows["mean_visibility"] == rows["mean_area_fraction"]
+
+
+def test_sampler_stats_rejects_range_beyond_image(cfg_path, tmp_path, capsys):
+    path = cfg_path(sampler={"kind": "uniform", "sigma": None, "range": 40})
+    assert main(["sampler-stats", "--config", path, "--draws", "10",
+                 "--out", str(tmp_path / "s4")]) == 2
+    assert "[sampler] range" in capsys.readouterr().err
 
 
 def test_sampler_stats_rejects_bad_draws(cfg_path, tmp_path):

@@ -48,6 +48,18 @@ def test_log_softmax_validates_shape():
         log_softmax(np.zeros((2, 2)))
 
 
+def test_softmax_rows_match_vectors():
+    rng = np.random.default_rng(41)
+    for n in (2, 10, 100):
+        logits = rng.normal(0.0, 3.0, (7, n))
+        logits[0] += 1000.0
+        probs = softmax(logits)
+        assert probs.shape == logits.shape
+        for row, z in zip(probs, logits):
+            assert np.array_equal(row, softmax(z))
+        assert probs.sum(axis=1) == pytest.approx(np.ones(7))
+
+
 def test_make_soft_target_values():
     target = make_soft_target(2, 0.9, 10)
     assert target[2] == 0.9

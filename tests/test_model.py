@@ -13,6 +13,7 @@ from softaug import (
     ResizeCropConfig,
     SigmaDecay,
     SofteningPolicy,
+    StandardCropConfig,
     TrainConfig,
     UniformCropConfig,
     backward,
@@ -265,8 +266,6 @@ def test_train_config_validation():
         small_train_config(batch_size=0)
     with pytest.raises(ValueError):
         small_train_config(fixed_alpha=1.0)
-    with pytest.raises(ValueError, match="resize-crop"):
-        small_train_config(sampler=ResizeCropConfig(sigma=0.3, width=32, height=32, min_length=16))
 
 
 # --- training loop ---
@@ -345,6 +344,11 @@ def test_train_rejects_bad_dataset_sampler_combo():
         train(ds, small_train_config(sampler=GaussianCropConfig(sigma=0.3, length=16)))
     with pytest.raises(ValueError):
         train(ds, small_train_config(sampler=UniformCropConfig(range_r=33)))
+    # resize crops change the crop size, which the same-size trainer cannot do
+    for sampler in (ResizeCropConfig(sigma=0.3, width=32, height=32, min_length=16),
+                    StandardCropConfig(32, 32)):
+        with pytest.raises(ValueError, match="resize-crop"):
+            train(ds, small_train_config(sampler=sampler))
 
 
 def test_train_nonfinite_loss_diagnostic():

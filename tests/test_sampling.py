@@ -5,6 +5,7 @@ from softaug import (
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
+    StandardCropConfig,
     UniformCropConfig,
     draw_gaussian_window,
     draw_offset,
@@ -198,17 +199,18 @@ def test_resize_crop_deterministic():
 
 
 def test_standard_crop_forced_parameters_full_window():
-    win = draw_standard_resize_crop(32, 32, RandomSource(23),
-                                    scale_min=1.0, scale_max=1.0,
-                                    ratio_min=1.0, ratio_max=1.0)
+    cfg = StandardCropConfig(32, 32, scale_min=1.0, scale_max=1.0,
+                             ratio_min=1.0, ratio_max=1.0)
+    win = draw_standard_resize_crop(cfg, RandomSource(23))
     assert (win.tx, win.ty, win.w, win.h) == (0, 0, 32, 32)
 
 
 def test_standard_crop_area_fractions():
     rng = RandomSource(24)
+    cfg = StandardCropConfig(224, 224)
     areas = []
     for _ in range(20_000):
-        win = draw_standard_resize_crop(224, 224, rng)
+        win = draw_standard_resize_crop(cfg, rng)
         assert 0 <= win.tx and win.tx + win.w <= 224
         assert 0 <= win.ty and win.ty + win.h <= 224
         areas.append(win.w * win.h / (224 * 224))
@@ -222,11 +224,18 @@ def test_standard_crop_area_fractions():
 
 def test_standard_crop_validates():
     with pytest.raises(ValueError):
-        draw_standard_resize_crop(32, 32, RandomSource(0), scale_min=0.0)
+        StandardCropConfig(32, 32, scale_min=0.0)
     with pytest.raises(ValueError):
-        draw_standard_resize_crop(32, 32, RandomSource(0), scale_min=0.5, scale_max=0.4)
+        StandardCropConfig(32, 32, scale_min=0.5, scale_max=0.4)
     with pytest.raises(ValueError):
-        draw_standard_resize_crop(32, 32, RandomSource(0), ratio_min=0.0)
+        StandardCropConfig(32, 32, ratio_min=0.0)
+    with pytest.raises(ValueError):
+        StandardCropConfig(32, 32, ratio_max=float("inf"))
+    with pytest.raises(ValueError):
+        StandardCropConfig(0, 32)
+    for bad in ("scale_min", "scale_max", "ratio_min", "ratio_max"):
+        with pytest.raises(ValueError):
+            StandardCropConfig(32, 32, **{bad: float("nan")})
 
 
 # --- cross-cutting ---
