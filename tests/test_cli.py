@@ -228,6 +228,73 @@ def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
     assert hashlib.sha256((run / "epoch_log.csv").read_bytes()).hexdigest() == log_sha
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the CSVs the commands other than train write. The occlusion
+# and compare digests go through training, so they carry GOLDEN's
+# numpy/OpenBLAS caveat; curve and sampler-stats involve no matmul.
+_RESIZE = {"kind": "resize_crop", "length": None, "min_length": 16,
+           "width": 32, "height": 32}
+_STANDARD = {"kind": "standard", "sigma": None, "length": None,
+             "width": 64, "height": 64}
+_STATS = ["sampler-stats", "--draws", "300", "--seed", "4"]
+GOLDEN_WRITERS = {
+    "curve": (
+        {}, ["curve", "--points", "11", "--k-list", "0,0.5,2"], "curve.csv",
+        "ca6efed647633642f61b1a34a4ab28293b91aa66dd7fd579beb36284074b28b6",
+    ),
+    "stats_gaussian": (
+        {}, _STATS, "sampler_stats.csv",
+        "671f82cb7c0affa2bcebde305a980bd3265d9a24cf0fac67ee6ef11132215ee7",
+    ),
+    "stats_uniform": (
+        {"sampler": {"kind": "uniform", "sigma": None, "range": 8}}, _STATS,
+        "sampler_stats.csv",
+        "f0ab03eb01aaba98b413593c0030db2b5eb9e58c80683fa1a62363cd1bea1d25",
+    ),
+    "stats_resize_crop": (
+        {"sampler": _RESIZE}, _STATS, "sampler_stats.csv",
+        "cbd2560c3cc3d965bf6a2676a7cef5141b413b8251417acd088c683e7e9366f3",
+    ),
+    "stats_standard": (
+        {"sampler": _STANDARD}, _STATS, "sampler_stats.csv",
+        "843f079bfad3d203046a93d80a845b5901ddbac8b3aebcdb57e1ebd7a594456d",
+    ),
+    # on a checkpoint trained from the same config
+    "occlusion": (
+        {}, ["occlusion", "--checkpoint", "{run}/checkpoint.bin", "--trials", "2",
+             "--seed", "3"], "occlusion.csv",
+        "c5e522b9a8b7e449e41ddd027a94de8adda236a3636735b263a571c1a9c1e19e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WRITERS))
+def test_writer_golden_fingerprint(name, cfg_path, tmp_path):
+    overrides, argv, filename, digest = GOLDEN_WRITERS[name]
+    path = cfg_path(**overrides)
+    run = tmp_path / "run"
+    if name == "occlusion":
+        assert main(["train", "--config", path]) == 0
+    out = tmp_path / "out"
+    argv = [arg.format(run=run) for arg in argv]
+    assert main([*argv, "--config", path, "--out", str(out)]) == 0
+    assert sha256_of(out / filename) == digest
+
+
+def test_compare_golden_fingerprint(tmp_path):
+    arm_a = write_config(tmp_path / "hard.ini", tmp_path / "out_a",
+                         softening={"mode": "none"})
+    arm_b = write_config(tmp_path / "soft.ini", tmp_path / "out_b")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
+                 "--seeds", "1", "--out", str(out)]) == 0
+    assert sha256_of(out / "compare.csv") == (
+        "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04")
+
+
 def test_train_exit_2_on_bad_config(cfg_path, capsys):
     path = cfg_path(softening={"mode": "soft"})
     assert main(["train", "--config", path]) == 2
