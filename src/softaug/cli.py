@@ -1,18 +1,18 @@
 """Command line interface and experiment configuration.
 
 Experiments are described by small INI files with [dataset], [sampler],
-[softening], [train], and [output] sections. Every run directory gets a
-byte-for-byte snapshot of the config it was launched with, written
-before any training starts, so results stay attributable. Exit codes:
-0 success, 2 invalid config or inputs, 3 numeric failure during
-training.
+[softening], [train], and [output] sections. Config, data and
+checkpoint checks run before a command creates its output directory.
+Every run directory gets a byte-for-byte snapshot of the config it was
+launched with, written before any training starts, so results stay
+attributable. Exit codes: 0 success, 2 invalid config or inputs, 3
+numeric failure during training.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -32,17 +32,20 @@ from .data import (
 from .geometry import crop_visibility, visibility
 from .metrics import (
     DEFAULT_OCCLUSION_GRID,
+    _bin_index,
     ece,
     evaluate,
     occlusion_sweep,
     top1_error,
     write_sweep_csv,
 )
+from .metrics import write_csv as _write_csv  # the benchmark tracer patches this name
 from .model import (
     CheckpointError,
     NonFiniteLossError,
     SigmaDecay,
     TrainConfig,
+    check_trainable,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -65,23 +68,24 @@ TEST_SEED_OFFSET = 1_000_003
 
 _SOURCES = ("synth", "cifar10", "cifar100")
 
-_SECTION_KEYS = {
-    "dataset": {"source", "num_classes", "train_per_class", "test_per_class",
-                "seed", "train_path", "test_path"},
-    "sampler": {"kind", "sigma", "range", "length", "width", "height", "min_length",
-                "scale_min", "scale_max", "ratio_min", "ratio_max"},
-    "softening": {"mode", "k", "p_min", "alpha"},
-    "train": {"epochs", "batch_size", "lr0", "momentum", "weight_decay", "seed",
-              "hidden", "sigma_decay_final_epochs", "sigma_decay_factor"},
-    "output": {"dir"},
-}
-
+# [sampler] kind -> (required keys, optional keys)
 _KIND_KEYS = {
     "gaussian": ({"sigma"}, {"length"}),
     "uniform": ({"range"}, {"length"}),
     "resize_crop": ({"sigma", "min_length"}, {"width", "height"}),
     "standard": (set(), {"width", "height", "scale_min", "scale_max",
                          "ratio_min", "ratio_max"}),
+}
+
+_SECTION_KEYS = {
+    "dataset": {"source", "num_classes", "train_per_class", "test_per_class",
+                "seed", "train_path", "test_path"},
+    "sampler": {"kind"}.union(*(required | optional
+                                for required, optional in _KIND_KEYS.values())),
+    "softening": {"mode", "k", "p_min", "alpha"},
+    "train": {"epochs", "batch_size", "lr0", "momentum", "weight_decay", "seed",
+              "hidden", "sigma_decay_final_epochs", "sigma_decay_factor"},
+    "output": {"dir"},
 }
 
 
@@ -293,32 +297,19 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return normalize(train_set, stats), normalize(test_set, stats)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.6g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-
-
 def _snapshot(cfg: ExperimentConfig, out: Path, name: str = "config.ini") -> None:
     (out / name).write_bytes(cfg.raw)
 
 
 def cmd_train(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
-    # snapshot first: a crashed run still records what it was
-    _snapshot(cfg, out)
     train_set, test_set = build_datasets(cfg.dataset)
     tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
+    check_trainable(train_set, tcfg)
+    out = Path(args.out or cfg.out_dir)
+    os.makedirs(out, exist_ok=True)
+    # snapshot before training: a crashed run still records what it was
+    _snapshot(cfg, out)
     model, log = train(train_set, tcfg)
     _write_csv(
         out / "epoch_log.csv",
@@ -354,13 +345,13 @@ def cmd_curve(args: argparse.Namespace) -> None:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     policy = cfg.train.policy
     ks = _parse_float_list(args.k_list, "--k-list") if args.k_list else (policy.k,)
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
     rows = []
     for k in ks:
         curve = replace(policy, k=k)
         for v in np.linspace(0.0, 1.0, args.points):
             rows.append([k, float(v), soften(float(v), curve)])
+    out = Path(args.out or cfg.out_dir)
+    os.makedirs(out, exist_ok=True)
     _write_csv(out / "curve.csv", ["k", "v", "p"], rows)
     print(f"curve: wrote {out / 'curve.csv'} "
           f"({len(ks)} curve(s) x {args.points} points, p_min={policy.p_min:g})")
@@ -376,8 +367,6 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
             raise ConfigError(f"--lambdas must lie in [0, 1], got {args.lambdas!r}")
     else:
         lambdas = DEFAULT_OCCLUSION_GRID
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
     _, test_set = build_datasets(cfg.dataset)
     model = load_checkpoint(args.checkpoint)
     n, c, h, w = test_set.images.shape
@@ -389,6 +378,8 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
         )
     rows = occlusion_sweep(model, test_set, RandomSource(args.seed), lambdas,
                            trials_per_image=args.trials)
+    out = Path(args.out or cfg.out_dir)
+    os.makedirs(out, exist_ok=True)
     write_sweep_csv(rows, str(out / "occlusion.csv"))
     print(f"occlusion: wrote {out / 'occlusion.csv'} "
           f"(top-1 error {rows[0][1]:.4f} at lambda={rows[0][0]:g})")
@@ -403,9 +394,7 @@ def _visibility_rows(vs: np.ndarray) -> list[list]:
         ["frac_visibility_positive", float((vs > 0).mean())],
         ["frac_fully_visible", float((vs == 1.0).mean())],
     ]
-    edges = np.arange(1, 10) / 10
-    bins = np.searchsorted(edges, vs, side="left") + 1
-    counts = np.bincount(bins, minlength=11)[1:]
+    counts = np.bincount(_bin_index(vs, 10), minlength=11)[1:]
     for m in range(10):
         rows.append([f"vis_hist_bin_{m + 1}", int(counts[m])])
     return rows
@@ -458,9 +447,9 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
-    rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     _write_csv(out / "sampler_stats.csv", ["metric", "value"], rows)
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
@@ -475,11 +464,13 @@ def cmd_compare(args: argparse.Namespace) -> None:
             "compare needs both arms on identical [dataset] settings; "
             f"got {cfg_a.dataset} vs {cfg_b.dataset}"
         )
+    train_set, test_set = build_datasets(cfg_a.dataset)
+    for cfg in (cfg_a, cfg_b):
+        check_trainable(train_set, cfg.train)
     out = Path(args.out or cfg_a.out_dir)
     os.makedirs(out, exist_ok=True)
     _snapshot(cfg_a, out, "config_a.ini")
     _snapshot(cfg_b, out, "config_b.ini")
-    train_set, test_set = build_datasets(cfg_a.dataset)
     name_a = Path(args.config_a).stem
     name_b = Path(args.config_b).stem
     if name_a == name_b:

@@ -158,16 +158,10 @@ def synth_shapes(num_per_class: int, num_classes: int, seed: int,
     return LabeledDataset(images, labels, num_classes, split)
 
 
-def flip_horizontal(image: np.ndarray) -> np.ndarray:
-    """Mirror a (C, H, W) image along its width."""
-    if image.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
-    return image[:, :, ::-1].copy()
-
-
 def hflip(image: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """Mirror the image with probability 1/2, always consuming one draw."""
-    return flip_horizontal(image) if rng.random() < 0.5 else image
+    """Mirror a (C, H, W) image along its width with probability 1/2,
+    always consuming one draw."""
+    return image[:, :, ::-1].copy() if rng.random() < 0.5 else image
 
 
 def compute_stats(dataset: LabeledDataset) -> NormalizationStats:

@@ -38,16 +38,15 @@ def canonical_mode(mode: str) -> str:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities via the log-sum-exp trick.
+    """Log-probabilities over the last axis via the log-sum-exp trick.
 
-    Never computed as log(softmax(x)): subtracting the max keeps every
-    exponent <= 0, so the result is finite for any finite logits.
+    Never computed as log(softmax(x)): each row is shifted by its max,
+    so every exponent is <= 0 and the result is finite for any finite
+    logits.
     """
     z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError(f"expected a 1-d logit vector with >= 2 entries, got shape {z.shape}")
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -105,8 +104,7 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, ps: np.ndarray,
     else:
         targets = _soft_targets(labels, ps, num_classes)
     weights = np.ones(b) if mode in ("hard", "target") else ps
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_q = log_softmax(logits)
     q = np.exp(log_q)
     mask = targets > 0
     safe = np.where(mask, targets, 1.0)

@@ -160,22 +160,23 @@ def _fmt(value) -> str:
     return f"{float(value):.6g}"
 
 
-def write_calibration_csv(report: CalibrationReport, path: str) -> None:
-    """Per-bin reliability rows followed by a trailing ece row."""
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    """A header row, then ``rows`` with strings as is, integers in
+    decimal and every other number as ``%.6g``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin", "count", "accuracy", "confidence"])
-        for m in range(report.num_bins):
-            writer.writerow(
-                [m + 1, int(report.counts[m]), _fmt(report.accuracies[m]),
-                 _fmt(report.confidences[m])]
-            )
-        writer.writerow(["ece", _fmt(report.ece), "", ""])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+
+
+def write_calibration_csv(report: CalibrationReport, path: str) -> None:
+    """Per-bin reliability rows followed by a trailing ece row."""
+    rows = [[m + 1, int(report.counts[m]), report.accuracies[m], report.confidences[m]]
+            for m in range(report.num_bins)]
+    write_csv(path, ["bin", "count", "accuracy", "confidence"],
+              rows + [["ece", report.ece, "", ""]])
 
 
 def write_sweep_csv(rows: list[tuple[float, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "top1_error"])
-        for lam, err in rows:
-            writer.writerow([_fmt(lam), _fmt(err)])
+    write_csv(path, ["lambda", "top1_error"], rows)

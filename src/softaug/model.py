@@ -90,14 +90,6 @@ def init_mlp(layer_sizes: tuple[int, ...], rng: RandomSource) -> MlpClassifier:
     return MlpClassifier(sizes, weights, biases)
 
 
-def forward(model: MlpClassifier, image: np.ndarray) -> np.ndarray:
-    """Logits for one input; the image is flattened to the input width."""
-    x = np.asarray(image, dtype=float).reshape(-1)
-    if x.size != model.layer_sizes[0]:
-        raise ValueError(f"input size {x.size} != model input {model.layer_sizes[0]}")
-    return _forward_batch(model, x[None, :])[0][0]
-
-
 def forward_batch(model: MlpClassifier, inputs: np.ndarray) -> np.ndarray:
     """Logits (B, N) for a batch; rows are flattened to the input width."""
     x = np.asarray(inputs, dtype=float).reshape(inputs.shape[0], -1)
@@ -141,22 +133,6 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (pre_activations[layer - 1] > 0)
     return loss, weight_grads, bias_grads, logits
-
-
-def backward(model: MlpClassifier, image: np.ndarray, true_class: int,
-             confidence: float, mode: str):
-    """Single-sample loss and parameter gradients.
-
-    Returns (loss, weight_grads, bias_grads) where the gradient lists
-    mirror ``model.weights`` and ``model.biases``.
-    """
-    x = np.asarray(image, dtype=float).reshape(1, -1)
-    if x.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input size {x.shape[1]} != model input {model.layer_sizes[0]}")
-    loss, weight_grads, bias_grads, _ = _backward_batch(
-        model, x, np.array([true_class]), np.array([confidence]), mode
-    )
-    return loss, weight_grads, bias_grads
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -254,19 +230,13 @@ def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
     return cropped, visibility(tx, ty, w, h)
 
 
-def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, list[EpochStats]]:
-    """SGD with momentum, decoupled weight decay, and cosine lr.
-
-    Each sample is flipped with probability 1/2, translated by the
-    configured crop sampler over zero padding, and its target softened
-    by the visibility of the crop under cfg.policy. With epochs == 0
-    the initialized model is returned untouched. Fixed seed implies a
-    bit-identical model and log.
-    """
-    n = len(dataset)
-    if n == 0:
+def check_trainable(dataset: LabeledDataset, cfg: TrainConfig) -> None:
+    """Raise ValueError unless :func:`train` can run ``cfg`` on ``dataset``:
+    a non-empty set of square images and a same-size crop sampler that
+    fits their edge."""
+    if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    _, c, h, w = dataset.images.shape
+    _, _, h, w = dataset.images.shape
     if h != w:
         raise ValueError(f"same-size crop training expects square images, got {h}x{w}")
     if not isinstance(cfg.sampler, (GaussianCropConfig, UniformCropConfig)):
@@ -279,6 +249,18 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > h:
         raise ValueError(f"offset range {cfg.sampler.range_r} exceeds image edge {h}")
 
+
+def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, list[EpochStats]]:
+    """SGD with momentum, decoupled weight decay, and cosine lr.
+
+    Each sample is flipped with probability 1/2, translated by the
+    configured crop sampler over zero padding, and its target softened
+    by the visibility of the crop under cfg.policy. With epochs == 0
+    the initialized model is returned untouched. Fixed seed implies a
+    bit-identical model and log.
+    """
+    check_trainable(dataset, cfg)
+    n, c, h, w = dataset.images.shape
     layer_sizes = (c * h * w, *cfg.hidden_sizes, dataset.num_classes)
     root = RandomSource(cfg.seed)
     model = init_mlp(layer_sizes, root.split(0))

@@ -6,8 +6,8 @@ original signal earns the true class a confidence
     p(v) = 1 - (1 - p_min) * (1 - v) ** k
 
 which decays smoothly from 1 at v = 1 down to the chance level p_min
-at v = 0. The same curve reweights self-supervised pairs, with crop
-overlap playing the role of v.
+at v = 0. :mod:`softaug.sslweights` applies the same curve to
+self-supervised crop pairs, with crop overlap playing the role of v.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .loss import canonical_mode
-
-SSL_HYPOTHESES = ("SA1", "SA2")
 
 
 @dataclass(frozen=True)
@@ -75,33 +71,3 @@ def label_smoothing_confidence(alpha: float) -> float:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     return 1.0 - alpha
-
-
-def ssl_pair_confidence(iou_value: float, policy: SofteningPolicy, hypothesis: str) -> float:
-    """Confidence for a positive crop pair with the given overlap.
-
-    SA1 treats high overlap as easy (confidence rises with IoU); SA2 is
-    the mirror ansatz where low overlap is easy. The two satisfy
-    SA1(x) == SA2(1 - x) exactly.
-    """
-    if not 0.0 <= iou_value <= 1.0:
-        raise ValueError(f"IoU must be in [0, 1], got {iou_value}")
-    if hypothesis not in SSL_HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {SSL_HYPOTHESES}, got {hypothesis!r}")
-    base = 1.0 - iou_value if hypothesis == "SA1" else iou_value
-    return 1.0 - (1.0 - policy.p_min) * base**policy.k
-
-
-def normalize_batch_weights(weights: list[float] | np.ndarray) -> list[float]:
-    """Rescale weights so their mean is exactly the neutral value 1.
-
-    Keeps the ratio between samples while leaving the average gradient
-    magnitude of a batch unchanged.
-    """
-    arr = np.asarray(weights, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot normalize an empty weight list")
-    mean = float(arr.mean())
-    if mean <= 0.0:
-        raise ValueError(f"weights must have positive mean, got {mean}")
-    return [float(x) for x in arr / mean]

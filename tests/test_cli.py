@@ -295,10 +295,19 @@ def test_compare_golden_fingerprint(tmp_path):
         "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04")
 
 
-def test_train_exit_2_on_bad_config(cfg_path, capsys):
+def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     path = cfg_path(softening={"mode": "soft"})
     assert main(["train", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
+    # checks that need the data or the checkpoint also run before
+    # anything is written
+    assert main(["train", "--config", cfg_path(dataset={"num_classes": 9})]) == 2
+    assert "num_classes" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert main(["occlusion", "--config", cfg_path(), "--checkpoint",
+                 str(tmp_path / "missing.bin"), "--out", str(tmp_path / "occ")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "occ").exists()
     # non-finite and degenerate values fail up front, never mid-run
     for overrides in ({"softening": {"k": "nan"}}, {"train": {"lr0": "nan"}},
                       {"train": {"lr0": "inf"}}, {"train": {"weight_decay": "inf"}},
@@ -328,12 +337,19 @@ def test_train_exit_3_on_numeric_blowup(cfg_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_exit_2_on_sampler_dataset_mismatch(cfg_path):
+def test_train_exit_2_on_sampler_dataset_mismatch(cfg_path, tmp_path):
     path = cfg_path(sampler={"kind": "gaussian", "sigma": 0.3, "length": 64})
     assert main(["train", "--config", path]) == 2
     path = cfg_path(sampler={"kind": "resize_crop", "sigma": 0.3, "min_length": 16,
                              "length": None, "width": 32, "height": 32})
     assert main(["train", "--config", path]) == 2
+    assert not (tmp_path / "run").exists()
+    # compare checks both arms before it snapshots either config
+    arm_b = write_config(tmp_path / "arm_b.ini", tmp_path / "out_b")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config-a", path, "--config-b", arm_b, "--seeds", "1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # --- curve command ---

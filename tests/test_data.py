@@ -7,13 +7,10 @@ from softaug import (
     ParseError,
     RandomSource,
     compute_stats,
-    flip_horizontal,
-    hflip,
     normalize,
-    parse_cifar10,
-    parse_cifar100,
     synth_shapes,
 )
+from softaug.data import hflip, parse_cifar10, parse_cifar100
 
 
 def cifar10_record(label, pixels):
@@ -115,14 +112,23 @@ def test_synth_shapes_nearest_centroid_learnable():
     assert error < 0.30
 
 
+def flipping_seed():
+    """A seed whose first draw makes hflip mirror the image."""
+    return next(seed for seed in range(64) if RandomSource(seed).random() < 0.5)
+
+
 def test_flip_horizontal():
+    seed = flipping_seed()
     image = np.array([[[1.0, 2.0]]])
-    assert flip_horizontal(image).tolist() == [[[2.0, 1.0]]]
+    assert hflip(image, RandomSource(seed)).tolist() == [[[2.0, 1.0]]]
     rng = np.random.default_rng(50)
     random_image = rng.random((3, 8, 8))
-    flipped = flip_horizontal(random_image)
-    assert np.array_equal(flip_horizontal(flipped), random_image)
+    flipped = hflip(random_image, RandomSource(seed))
+    assert np.array_equal(hflip(flipped, RandomSource(seed)), random_image)
     assert flipped.sum() == pytest.approx(random_image.sum(), abs=1e-9)
+    # the mirror is a copy, never a view of the input
+    flipped[0, 0, 0] = -1.0
+    assert random_image.min() >= 0.0
 
 
 def test_hflip_consumes_exactly_one_draw():
@@ -132,7 +138,7 @@ def test_hflip_consumes_exactly_one_draw():
         out = hflip(image, rng)
         twin = RandomSource(seed)
         expect_flip = twin.random() < 0.5
-        assert np.array_equal(out, flip_horizontal(image) if expect_flip else image)
+        assert np.array_equal(out, image[:, :, ::-1] if expect_flip else image)
         # downstream draws stay aligned with the twin stream
         assert rng.normal() == twin.normal()
 

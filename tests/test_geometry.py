@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from softaug import CropWindow, RandomSource, crop_visibility, iou, occlude, pad_and_crop, visibility
+from softaug import CropWindow, RandomSource, iou, occlude, pad_and_crop, visibility
+from softaug.geometry import crop_visibility
 
 
 def reference_pad_and_crop(image, tx, ty):

@@ -9,13 +9,12 @@ from softaug import (
     RandomSource,
     ece,
     evaluate,
-    init_mlp,
     occlusion_sweep,
     synth_shapes,
     top1_error,
-    write_calibration_csv,
-    write_sweep_csv,
 )
+from softaug.metrics import write_calibration_csv, write_sweep_csv
+from softaug.model import init_mlp
 
 
 def brute_force_ece(records, num_bins):

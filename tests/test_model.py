@@ -16,16 +16,17 @@ from softaug import (
     StandardCropConfig,
     TrainConfig,
     UniformCropConfig,
-    backward,
+    synth_shapes,
+    train,
+)
+from softaug.model import (
+    _backward_batch,
     cosine_lr,
     effective_sigma,
-    forward,
     forward_batch,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
-    synth_shapes,
-    train,
 )
 
 
@@ -90,6 +91,11 @@ def test_init_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
 
+def forward(model, x):
+    """Logits of one input: forward_batch with B = 1."""
+    return forward_batch(model, np.asarray(x, dtype=float)[None, :])[0]
+
+
 def test_zero_model_zero_logits():
     model = MlpClassifier((4, 3, 2), [np.zeros((3, 4)), np.zeros((2, 3))],
                           [np.zeros(3), np.zeros(2)])
@@ -115,13 +121,14 @@ def test_forward_batch_matches_single():
     xs = np.random.default_rng(64).normal(0.0, 1.0, (5, 8))
     batched = forward_batch(model, xs)
     for row in range(5):
-        assert batched[row] == pytest.approx(forward(model, xs[row]), abs=1e-12)
+        assert batched[row] == pytest.approx(forward_batch(model, xs[row : row + 1])[0],
+                                             abs=1e-12)
 
 
 def test_forward_validates_input_size():
     model = init_mlp((8, 4, 2), RandomSource(65))
     with pytest.raises(ValueError):
-        forward(model, np.ones(7))
+        forward_batch(model, np.ones((1, 7)))
 
 
 def test_mlp_validates_shapes():
@@ -132,6 +139,14 @@ def test_mlp_validates_shapes():
 
 
 # --- backward ---
+
+
+def backward(model, image, true_class, p, mode):
+    """Loss and parameter gradients of one input: _backward_batch with B = 1."""
+    x = np.asarray(image, dtype=float)[None, :]
+    loss, grad_w, grad_b, _ = _backward_batch(model, x, np.array([true_class]),
+                                              np.array([p]), mode)
+    return loss, grad_w, grad_b
 
 
 def fd_param_grads(model, image, true_class, p, mode, h=1e-5):

@@ -8,13 +8,12 @@ from softaug import (
     StandardCropConfig,
     UniformCropConfig,
     draw_gaussian_window,
-    draw_offset,
     draw_resize_crop,
     draw_standard_resize_crop,
-    draw_uniform_offset,
     draw_uniform_window,
     visibility,
 )
+from softaug.sampling import draw_offset, draw_uniform_offset
 
 
 # --- RandomSource ---

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from softaug import (
-    SofteningPolicy,
-    label_smoothing_confidence,
-    normalize_batch_weights,
-    soften,
-    ssl_pair_confidence,
-)
+from softaug import SofteningPolicy, soften, ssl_pair_confidence
+from softaug.softening import label_smoothing_confidence
+from softaug.sslweights import normalize_batch_weights
 
 
 def test_policy_validation():

@@ -1,0 +1,24 @@
+"""The package namespace is the documented surface and nothing more."""
+
+import re
+import types
+from pathlib import Path
+
+import softaug
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_is_explicit_and_resolves():
+    assert len(softaug.__all__) == len(set(softaug.__all__))
+    for name in softaug.__all__:
+        assert not isinstance(getattr(softaug, name), types.ModuleType), name
+
+
+def test_readme_library_block_runs():
+    library = README.read_text().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    imported = {name for name in namespace if not name.startswith("__")}
+    assert imported and imported <= set(softaug.__all__)
