@@ -23,6 +23,7 @@ import numpy as np
 from .data import (
     IMAGE_EDGE,
     LabeledDataset,
+    check_synth_classes,
     compute_stats,
     normalize,
     parse_cifar10,
@@ -106,7 +107,9 @@ class DatasetSpec:
     test_path: str = ""
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
+        if self.source == "synth":
+            check_synth_classes(self.num_classes)
+        elif self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
 
@@ -149,11 +152,16 @@ def _build(section: str, factory, *args, **kwargs):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _parse_hidden(raw: str) -> tuple[int, ...]:
+def _parse_list(raw: str, kind, what: str) -> tuple:
+    """The comma-separated ``kind`` values of ``raw``, blank items skipped;
+    a ConfigError naming ``what`` if none is left or one does not parse."""
     parts = [part.strip() for part in raw.split(",") if part.strip()]
     if not parts:
-        raise ValueError("empty")
-    return tuple(int(part) for part in parts)
+        raise ConfigError(f"{what}: empty list")
+    try:
+        return tuple(kind(part) for part in parts)
+    except ValueError:
+        raise ConfigError(f"{what}: cannot parse {raw!r}") from None
 
 
 def _parse_dataset(parser: configparser.ConfigParser) -> DatasetSpec:
@@ -268,7 +276,8 @@ def parse_config(path: str) -> ExperimentConfig:
                    _value(parser, "train", "sigma_decay_factor", float, default=1000.0))
     options = _given(parser, "train", {"momentum": float, "weight_decay": float, "seed": int})
     if parser.has_option("train", "hidden"):
-        options["hidden_sizes"] = _value(parser, "train", "hidden", _parse_hidden)
+        options["hidden_sizes"] = _parse_list(parser.get("train", "hidden"), int,
+                                              "[train] hidden")
     train_cfg = _build(
         "train", TrainConfig,
         epochs=_value(parser, "train", "epochs", int, required=True),
@@ -328,23 +337,13 @@ def cmd_train(args: argparse.Namespace) -> None:
     print(f"train: wrote {out} (test top-1 error {err:.4f}, ece {report.ece:.4f})")
 
 
-def _parse_float_list(raw: str, what: str) -> tuple[float, ...]:
-    parts = [part.strip() for part in raw.split(",") if part.strip()]
-    if not parts:
-        raise ConfigError(f"{what}: empty list")
-    try:
-        return tuple(float(part) for part in parts)
-    except ValueError:
-        raise ConfigError(f"{what}: cannot parse {raw!r}") from None
-
-
 def cmd_curve(args: argparse.Namespace) -> None:
     """One softening curve per requested k, on a shared uniform v grid."""
     cfg = parse_config(args.config)
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     policy = cfg.train.policy
-    ks = _parse_float_list(args.k_list, "--k-list") if args.k_list else (policy.k,)
+    ks = _parse_list(args.k_list, float, "--k-list") if args.k_list else (policy.k,)
     rows = []
     for k in ks:
         curve = replace(policy, k=k)
@@ -362,7 +361,7 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.lambdas:
-        lambdas = _parse_float_list(args.lambdas, "--lambdas")
+        lambdas = _parse_list(args.lambdas, float, "--lambdas")
         if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
             raise ConfigError(f"--lambdas must lie in [0, 1], got {args.lambdas!r}")
     else:

@@ -121,6 +121,14 @@ def _shape_mask(shape: str, cx: float, cy: float, s: float, size: int) -> np.nda
     raise ValueError(f"unknown shape {shape!r}")
 
 
+def check_synth_classes(num_classes: int) -> None:
+    """Raise ValueError unless :func:`synth_shapes` can render
+    ``num_classes`` classes: each shape in one of two colors."""
+    top = len(SHAPE_NAMES) * len(_PALETTE)
+    if not 2 <= num_classes <= top:
+        raise ValueError(f"num_classes must be in [2, {top}], got {num_classes}")
+
+
 def synth_shapes(num_per_class: int, num_classes: int, seed: int,
                  split: str = "train") -> LabeledDataset:
     """Render a balanced 32x32 RGB shapes dataset.
@@ -131,8 +139,7 @@ def synth_shapes(num_per_class: int, num_classes: int, seed: int,
     and adds pixel noise; the result is clipped to [0, 1]. A fixed seed
     reproduces the dataset byte for byte.
     """
-    if not 2 <= num_classes <= 2 * len(SHAPE_NAMES):
-        raise ValueError(f"num_classes must be in [2, {2 * len(SHAPE_NAMES)}], got {num_classes}")
+    check_synth_classes(num_classes)
     if num_per_class < 1:
         raise ValueError(f"num_per_class must be >= 1, got {num_per_class}")
     size = IMAGE_EDGE

@@ -320,6 +320,13 @@ def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     # every command validates the whole config, not only the keys it reads
     assert main(["curve", "--config", cfg_path(dataset={"num_classes": 0})]) == 2
     assert "num_classes" in capsys.readouterr().err
+    # the synth class range holds for the commands that render no data
+    too_many = cfg_path(dataset={"num_classes": 9})
+    for command in (["curve"], ["sampler-stats", "--draws", "10"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--config", too_many, "--out", str(out)]) == 2, command
+        assert "num_classes must be in [2, 8]" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["curve", "--config", cfg_path(train={"lr0": "nan"})]) == 2
     assert "[train] lr0" in capsys.readouterr().err
 
@@ -385,6 +392,9 @@ def test_curve_defaults_to_config_k(cfg_path, tmp_path):
 def test_curve_rejects_bad_points(cfg_path, tmp_path):
     assert main(["curve", "--config", cfg_path(), "--points", "1",
                  "--out", str(tmp_path / "c3")]) == 2
+    assert main(["curve", "--config", cfg_path(), "--k-list", " , ",
+                 "--out", str(tmp_path / "c3")]) == 2
+    assert not (tmp_path / "c3").exists()
 
 
 # --- occlusion command ---

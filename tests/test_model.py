@@ -20,7 +20,10 @@ from softaug import (
     train,
 )
 from softaug.model import (
+    _STEP_BLOCK_BYTES,
+    _all_finite,
     _backward_batch,
+    _sgd_step,
     cosine_lr,
     effective_sigma,
     forward_batch,
@@ -376,9 +379,58 @@ def test_train_nonfinite_loss_diagnostic():
     )
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
         train(ds, cfg)
-    assert err.value.epoch >= 0
-    assert err.value.batch >= 0
-    assert err.value.lr > 0
+    # batch 0's step leaves weights near 1e307, so batch 1 is the first non-finite one
+    assert (err.value.epoch, err.value.batch, err.value.lr) == (0, 1, 1e308)
+
+
+def reference_step(param, velocity, grad, lr, momentum, weight_decay):
+    """The trainer's step as plain expressions on fresh arrays."""
+    velocity = momentum * velocity + grad
+    if weight_decay:
+        param = param * (1.0 - lr * weight_decay)
+    return param - lr * velocity, velocity
+
+
+@pytest.mark.parametrize("shape, weight_decay", [
+    ((37, 3072), 5e-4),  # 16-row blocks and a partial last one
+    ((37, 3072), 0.0),
+    ((37,), 0.0),        # a bias: one block
+    ((37,), 5e-4),
+])
+def test_sgd_step_matches_reference_bitwise(shape, weight_decay):
+    if len(shape) == 2:
+        assert shape[0] % (_STEP_BLOCK_BYTES // (8 * shape[1])) != 0
+    rng = np.random.default_rng(90)
+    param = rng.normal(0.0, 0.1, shape)
+    velocity = rng.normal(0.0, 0.01, shape)
+    ref_param, ref_velocity = param.copy(), velocity.copy()
+    for lr in (0.1, 0.0731, 1e-3):
+        grad = rng.normal(0.0, 1.0, shape)
+        ref_param, ref_velocity = reference_step(ref_param, ref_velocity, grad,
+                                                 lr, 0.9, weight_decay)
+        _sgd_step(param, velocity, grad, lr, 0.9, weight_decay)  # spends grad
+        assert param.tobytes() == ref_param.tobytes()
+        assert velocity.tobytes() == ref_velocity.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries, finite", [
+    ({(1, 2): np.nan}, False),
+    ({(4, 0): np.inf}, False),
+    ({(0, 6): -np.inf}, False),
+    ({(2, 3): np.inf, (3, 3): -np.inf}, False),
+    ("huge", True),  # the dot product overflows on finite entries
+    ({}, True),
+])
+def test_all_finite(entries, finite):
+    grad = np.random.default_rng(91).normal(0.0, 1.0, (5, 7))
+    if entries == "huge":
+        grad = np.full((5, 7), 1e200)
+    else:
+        for index, value in entries.items():
+            grad[index] = value
+    assert _all_finite(grad) is finite
+    assert _all_finite(grad[0]) is bool(np.isfinite(grad[0]).all())
 
 
 # --- checkpoints ---
