@@ -62,7 +62,7 @@ from .sampling import (
     draw_standard_resize_crop,
     draw_uniform_window,
 )
-from .softening import SofteningPolicy, label_smoothing_confidence, soften
+from .softening import SofteningPolicy, soften
 
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
@@ -263,17 +263,9 @@ def parse_config(path: str) -> ExperimentConfig:
         )
     policy = _build("softening", SofteningPolicy, p_min=chance,
                     mode=_value(parser, "softening", "mode", str, required=True),
-                    **_given(parser, "softening", {"k": float}))
-    alpha = _value(parser, "softening", "alpha", float)
-    if alpha is not None and _build("softening", label_smoothing_confidence, alpha) < chance:
-        raise ConfigError(
-            f"[softening] alpha={alpha} puts the constant confidence below "
-            f"chance level 1/{dataset.num_classes}"
-        )
-
-    decay = _build("train", SigmaDecay,
-                   _value(parser, "train", "sigma_decay_final_epochs", int, default=0),
-                   _value(parser, "train", "sigma_decay_factor", float, default=1000.0))
+                    **_given(parser, "softening", {"k": float, "alpha": float}))
+    decay = {key.removeprefix("sigma_decay_"): value for key, value in _given(
+        parser, "train", {"sigma_decay_final_epochs": int, "sigma_decay_factor": float}).items()}
     options = _given(parser, "train", {"momentum": float, "weight_decay": float, "seed": int})
     if parser.has_option("train", "hidden"):
         options["hidden_sizes"] = _parse_list(parser.get("train", "hidden"), int,
@@ -283,7 +275,8 @@ def parse_config(path: str) -> ExperimentConfig:
         epochs=_value(parser, "train", "epochs", int, required=True),
         batch_size=_value(parser, "train", "batch_size", int, required=True),
         lr0=_value(parser, "train", "lr0", float, required=True),
-        policy=policy, sampler=sampler, sigma_decay=decay, fixed_alpha=alpha, **options,
+        policy=policy, sampler=sampler, sigma_decay=_build("train", SigmaDecay, **decay),
+        **options,
     )
     out_dir = _value(parser, "output", "dir", str, required=True)
     return ExperimentConfig(path, raw, dataset, train_cfg, out_dir)

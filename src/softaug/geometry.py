@@ -109,10 +109,8 @@ def iou(a: CropWindow, b: CropWindow) -> float:
     return inter / union
 
 
-def occlude(
-    image: np.ndarray, lam: float, rng: "RandomSource", fill: float = 0.0
-) -> np.ndarray:
-    """Return a copy of ``image`` with a square patch erased.
+def occlude(image: np.ndarray, lam: float, rng: "RandomSource") -> np.ndarray:
+    """Return a copy of ``image`` with a square patch set to 0.
 
     ``lam`` is the target fraction of the image area to cover. The
     patch side is round(sqrt(lam * H * W)), capped at the image sides,
@@ -134,5 +132,5 @@ def occlude(
         return out
     top = rng.integers(0, h - side)
     left = rng.integers(0, w - side)
-    out[:, top : top + side, left : left + side] = fill
+    out[:, top : top + side, left : left + side] = 0.0
     return out

@@ -27,7 +27,7 @@ from .sampling import (
     draw_gaussian_window,
     draw_uniform_window,
 )
-from .softening import SofteningPolicy, label_smoothing_confidence, soften
+from .softening import SofteningPolicy, soften
 from .data import LabeledDataset, hflip
 
 _CHECKPOINT_MAGIC = b"SAMLP001"
@@ -150,10 +150,10 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
 
 @dataclass(frozen=True)
 class SigmaDecay:
-    """Shrink the crop sigma by ``factor`` for the last ``final_epochs``."""
+    """Shrink the crop sigma by ``factor`` for the last ``final_epochs`` (none by default)."""
 
-    final_epochs: int
-    factor: float
+    final_epochs: int = 0
+    factor: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.final_epochs < 0:
@@ -174,14 +174,9 @@ class TrainConfig:
     weight_decay: float = 5e-4
     seed: int = 0
     hidden_sizes: tuple[int, ...] = (256,)
-    sigma_decay: SigmaDecay | None = None
-    # constant label-smoothing confidence 1 - alpha instead of the
-    # visibility-driven curve (the fixed-smoothing baseline arm)
-    fixed_alpha: float | None = None
+    sigma_decay: SigmaDecay = SigmaDecay()
 
     def __post_init__(self) -> None:
-        if self.fixed_alpha is not None:
-            label_smoothing_confidence(self.fixed_alpha)  # range check
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -214,11 +209,9 @@ def effective_sigma(epoch: int, cfg: TrainConfig) -> float:
     the decay factor inside the final window. 0 for non-Gaussian samplers."""
     if not isinstance(cfg.sampler, GaussianCropConfig):
         return 0.0
-    sigma = cfg.sampler.sigma
-    decay = cfg.sigma_decay
-    if decay is not None and epoch >= cfg.epochs - decay.final_epochs:
-        return sigma / decay.factor
-    return sigma
+    if epoch >= cfg.epochs - cfg.sigma_decay.final_epochs:
+        return cfg.sampler.sigma / cfg.sigma_decay.factor
+    return cfg.sampler.sigma
 
 
 def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
@@ -236,8 +229,8 @@ def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
 
 def check_trainable(dataset: LabeledDataset, cfg: TrainConfig) -> None:
     """Raise ValueError unless :func:`train` can run ``cfg`` on ``dataset``:
-    a non-empty set of square images and a same-size crop sampler that
-    fits their edge."""
+    a non-empty set of square images, a same-size crop sampler that fits
+    their edge, and soft targets no lower than chance 1/num_classes."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     _, _, h, w = dataset.images.shape
@@ -252,6 +245,11 @@ def check_trainable(dataset: LabeledDataset, cfg: TrainConfig) -> None:
         raise ValueError(f"sampler length {cfg.sampler.length} != image edge {h}")
     if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > h:
         raise ValueError(f"offset range {cfg.sampler.range_r} exceeds image edge {h}")
+    # the target modes need p >= 1/N; the lowest p either rule gives is at v = 0
+    mode, lowest = cfg.policy.mode, soften(0.0, cfg.policy)
+    if mode in ("target", "target_and_weight") and lowest < 1.0 / dataset.num_classes:
+        raise ValueError(f"mode {mode} needs every confidence >= chance 1/{dataset.num_classes}, "
+                         f"but the policy gives {lowest:g} at v = 0")
 
 
 def _all_finite(grad: np.ndarray) -> bool:
@@ -334,14 +332,11 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             for row, i in enumerate(idx):
                 image, vis = _augment(dataset.images[i], sampler, ep_rng)
                 batch[row] = image.reshape(-1)
-                if mode == "hard":
-                    ps[row] = 1.0
-                elif cfg.fixed_alpha is not None:
-                    ps[row] = label_smoothing_confidence(cfg.fixed_alpha)
-                else:
-                    ps[row] = soften(vis, cfg.policy)
+                ps[row] = 1.0 if mode == "hard" else soften(vis, cfg.policy)
             labels = dataset.labels[idx]
-            loss, grad_w, grad_b, logits = _backward_batch(model, batch, labels, ps, mode)
+            # a blow-up surfaces as NonFiniteLossError below, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grad_w, grad_b, logits = _backward_batch(model, batch, labels, ps, mode)
             if not (math.isfinite(loss) and all(map(_all_finite, grad_w + grad_b))):
                 raise NonFiniteLossError(epoch, batch_index, lr)
             wrong += int((logits.argmax(axis=1) != labels).sum())

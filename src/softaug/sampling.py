@@ -68,15 +68,12 @@ class GaussianCropConfig:
 
     sigma: float
     length: int
-    max_rejections: int = MAX_REJECTIONS
 
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.max_rejections < 1:
-            raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
 
 
 @dataclass(frozen=True)
@@ -140,19 +137,18 @@ class StandardCropConfig:
             )
 
 
-def draw_offset(limit: float, sigma_abs: float, rng: RandomSource,
-                max_rejections: int = MAX_REJECTIONS) -> int:
+def draw_offset(limit: float, sigma_abs: float, rng: RandomSource) -> int:
     """Gaussian integer offset with magnitude at most ``limit``.
 
     Draws from Normal(0, sigma_abs) until a value with |x| <= limit
-    appears, truncates it toward zero, and returns 0 if max_rejections
+    appears, truncates it toward zero, and returns 0 if MAX_REJECTIONS
     draws were all rejected. Each attempt consumes exactly one draw.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if sigma_abs <= 0:
         raise ValueError(f"sigma_abs must be > 0, got {sigma_abs}")
-    for _ in range(max_rejections):
+    for _ in range(MAX_REJECTIONS):
         x = rng.normal(sigma_abs)
         if abs(x) <= limit:
             return int(x)
@@ -168,8 +164,8 @@ def draw_uniform_offset(range_r: int, rng: RandomSource) -> int:
 
 def draw_gaussian_window(cfg: GaussianCropConfig, rng: RandomSource) -> tuple[int, int]:
     """Offsets (tx, ty) for a same-size Gaussian crop, drawn independently."""
-    tx = draw_offset(cfg.length, cfg.sigma * cfg.length, rng, cfg.max_rejections)
-    ty = draw_offset(cfg.length, cfg.sigma * cfg.length, rng, cfg.max_rejections)
+    tx = draw_offset(cfg.length, cfg.sigma * cfg.length, rng)
+    ty = draw_offset(cfg.length, cfg.sigma * cfg.length, rng)
     return tx, ty
 
 

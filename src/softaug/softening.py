@@ -27,31 +27,40 @@ class SofteningPolicy:
     softens the target distribution, the sample weight, both, or
     neither ("hard" trains on plain one-hot cross entropy). The mode is
     stored under its :data:`~softaug.loss.MODES` name, so "none" reads
-    back as "hard".
+    back as "hard". Setting ``alpha`` makes it label smoothing: a
+    constant confidence 1 - alpha, not below p_min, in place of the curve.
     """
 
     k: float = 2.0
     p_min: float = 0.01
     mode: str = "target_and_weight"
+    alpha: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.k < math.inf:
             raise ValueError(f"k must be finite and >= 0, got {self.k}")
         if not 0.0 <= self.p_min < 1.0:
             raise ValueError(f"p_min must be in [0, 1), got {self.p_min}")
+        if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.alpha is not None and 1.0 - self.alpha < self.p_min:
+            raise ValueError(f"alpha={self.alpha} puts 1 - alpha below chance {self.p_min}")
         object.__setattr__(self, "mode", canonical_mode(self.mode))
 
 
 def soften(v: float, policy: SofteningPolicy) -> float:
     """Confidence assigned to the true class at visibility ``v``.
 
-    Full visibility pins the confidence to exactly 1 for every k,
+    A policy with ``alpha`` set returns 1 - alpha for every v. Otherwise
+    full visibility pins the confidence to exactly 1 for every k,
     including k = 0; zero visibility yields exactly p_min. Both
     boundaries are returned directly so they hold bitwise, free of the
     1-ulp noise of the general expression.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v}")
+    if policy.alpha is not None:
+        return 1.0 - policy.alpha
     if v == 1.0:
         return 1.0
     if v == 0.0:
@@ -61,13 +70,3 @@ def soften(v: float, policy: SofteningPolicy) -> float:
     # term rounds to 1; the contract promises the closed interval
     return min(1.0, max(policy.p_min, p))
 
-
-def label_smoothing_confidence(alpha: float) -> float:
-    """True-class confidence of classic label smoothing: 1 - alpha.
-
-    Constant in the transform; exists so smoothing slots into the same
-    loss machinery as the visibility curve.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return 1.0 - alpha

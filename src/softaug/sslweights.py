@@ -48,8 +48,10 @@ def ssl_pair_confidence(iou_value: float, policy: SofteningPolicy, hypothesis: s
 
     SA1 treats high overlap as easy (confidence rises with IoU); SA2 is
     the mirror ansatz where low overlap is easy. The two satisfy
-    SA1(x) == SA2(1 - x) exactly.
+    SA1(x) == SA2(1 - x) exactly. Only the curve applies: ``alpha`` is rejected.
     """
+    if policy.alpha is not None:
+        raise ValueError(f"SSL pair weights use the softening curve; got alpha={policy.alpha}")
     if not 0.0 <= iou_value <= 1.0:
         raise ValueError(f"IoU must be in [0, 1], got {iou_value}")
     if hypothesis not in SSL_HYPOTHESES:
@@ -73,17 +75,15 @@ def normalize_batch_weights(weights: list[float] | np.ndarray) -> list[float]:
     return [float(x) for x in arr / mean]
 
 
-def pair_weights(pairs: list[CropPair], policy: SofteningPolicy, hypothesis: str,
-                 normalize: bool = True) -> list[float]:
+def pair_weights(pairs: list[CropPair], policy: SofteningPolicy,
+                 hypothesis: str) -> list[float]:
     """Per-pair loss weights for a batch of positive pairs.
 
     Raw weights come from the softening curve applied to each pair's
-    IoU; with ``normalize`` they are rescaled to mean 1 so the batch
-    keeps its overall gradient scale.
+    IoU (:func:`ssl_pair_confidence`) and are rescaled to mean 1 so the
+    batch keeps its overall gradient scale.
     """
     if not pairs:
         raise ValueError("cannot weight an empty batch of pairs")
-    weights = [ssl_pair_confidence(pair.overlap(), policy, hypothesis) for pair in pairs]
-    if normalize:
-        weights = normalize_batch_weights(weights)
-    return weights
+    return normalize_batch_weights(
+        [ssl_pair_confidence(pair.overlap(), policy, hypothesis) for pair in pairs])

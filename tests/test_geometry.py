@@ -175,9 +175,9 @@ def test_occlude_patch_side_matches_rounding(lam):
 def test_occlude_stays_in_bounds_and_uses_fill():
     image = np.full((2, 16, 16), 7.0)
     for seed in range(50):
-        out = occlude(image, 0.8, RandomSource(seed), fill=-3.0)
+        out = occlude(image, 0.8, RandomSource(seed))
         touched = out != 7.0
-        assert (out[touched] == -3.0).all()
+        assert (out[touched] == 0.0).all()
         # a full rectangle strictly inside the image
         rows = np.where(touched[0].any(axis=1))[0]
         cols = np.where(touched[0].any(axis=0))[0]

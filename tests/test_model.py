@@ -283,7 +283,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         small_train_config(batch_size=0)
     with pytest.raises(ValueError):
-        small_train_config(fixed_alpha=1.0)
+        small_train_config(policy=SofteningPolicy(p_min=0.25, alpha=1.0))
 
 
 # --- training loop ---
@@ -350,10 +350,26 @@ def test_train_log_structure():
 
 def test_train_label_smoothing_arm():
     ds = synth_shapes(5, 4, seed=77)
-    cfg = small_train_config(epochs=2, fixed_alpha=0.1)
+    cfg = small_train_config(epochs=2, policy=SofteningPolicy(p_min=0.25, alpha=0.1))
     model, log = train(ds, cfg)
     assert len(log) == 2
     assert model.layer_sizes == (3072, 16, 4)
+
+
+def test_train_rejects_below_chance_policy_up_front(monkeypatch):
+    ds = synth_shapes(5, 4, seed=79)
+    # the default p_min = 0.01 is below chance 1/4 at v = 0
+    for mode in ("target", "target_and_weight"):
+        cfg = small_train_config(policy=SofteningPolicy(mode=mode))
+        with monkeypatch.context() as patch:
+            patch.setattr("softaug.model._backward_batch",
+                          lambda *args: pytest.fail("a batch ran"))
+            with pytest.raises(ValueError, match=f"mode {mode} .* chance 1/4"):
+                train(ds, cfg)
+    # weight-only and hard training never put p into the target
+    for mode in ("weight", "hard"):
+        _, log = train(ds, small_train_config(epochs=1, policy=SofteningPolicy(mode=mode)))
+        assert len(log) == 1
 
 
 def test_train_rejects_bad_dataset_sampler_combo():
@@ -377,7 +393,7 @@ def test_train_nonfinite_loss_diagnostic():
         sampler=UniformCropConfig(range_r=0),
         hidden_sizes=(8,), seed=4,
     )
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NonFiniteLossError) as err:
         train(ds, cfg)
     # batch 0's step leaves weights near 1e307, so batch 1 is the first non-finite one
     assert (err.value.epoch, err.value.batch, err.value.lr) == (0, 1, 1e308)

@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
 from softaug import SofteningPolicy, soften, ssl_pair_confidence
-from softaug.softening import label_smoothing_confidence
 from softaug.sslweights import normalize_batch_weights
 
 
@@ -75,13 +76,17 @@ def test_soften_rejects_out_of_range():
 
 
 def test_label_smoothing_confidence():
-    assert label_smoothing_confidence(0.0) == 1.0
-    assert label_smoothing_confidence(0.1) == 0.9
-    assert label_smoothing_confidence(0.5) == 0.5
+    for alpha in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            SofteningPolicy(alpha=alpha)
+    # 1 - 0.9 rounds to 0.0999..., below the chance level 0.1
+    with pytest.raises(ValueError, match="chance"):
+        SofteningPolicy(p_min=0.1, alpha=0.9)
+    for alpha in (0.0, 0.1, 0.5):
+        policy = SofteningPolicy(k=3.0, p_min=0.25, alpha=alpha)
+        assert [soften(v, policy) for v in (0.0, 0.3, 1.0)] == [1.0 - alpha] * 3
     with pytest.raises(ValueError):
-        label_smoothing_confidence(1.0)
-    with pytest.raises(ValueError):
-        label_smoothing_confidence(-0.1)
+        soften(1.1, SofteningPolicy(alpha=0.1))
 
 
 def test_ssl_confidence_boundaries():

@@ -116,8 +116,17 @@ def test_pair_weights_unnormalized_are_curve_values():
         make_pair((0, 0, 32, 32), (0, 0, 32, 32)),
         make_pair((0, 0, 16, 16), (32, 32, 16, 16)),
     ]
-    raw = pair_weights(pairs, policy, "SA1", normalize=False)
+    raw = [ssl_pair_confidence(pair.overlap(), policy, "SA1") for pair in pairs]
     assert raw == [1.0, pytest.approx(0.1, abs=1e-15)]
+    assert pair_weights(pairs, policy, "SA1") == pytest.approx(
+        [1.0 / 0.55, 0.1 / 0.55], abs=1e-12)
+
+
+def test_pair_weights_reject_alpha_policy():
+    # SSL weights use only the curve; a smoothing alpha would be ignored
+    pairs = [make_pair((0, 0, 32, 32), (2, 2, 32, 32))]
+    with pytest.raises(ValueError, match="alpha"):
+        pair_weights(pairs, SofteningPolicy(p_min=0.1, alpha=0.1), "SA1")
 
 
 def test_pair_weights_order_follows_input():
