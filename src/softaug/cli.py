@@ -67,7 +67,26 @@ from .softening import SofteningPolicy, soften
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
 
-_SOURCES = ("synth", "cifar10", "cifar100")
+# section -> key -> type: the one list of INI keys; any other key is rejected
+_KEYS = {
+    "dataset": {"source": str, "num_classes": int, "train_per_class": int,
+                "test_per_class": int, "seed": int, "train_path": str, "test_path": str},
+    "sampler": {"kind": str, "sigma": float, "length": int, "range": int, "min_length": int,
+                "width": int, "height": int, "scale_min": float, "scale_max": float,
+                "ratio_min": float, "ratio_max": float},
+    "softening": {"mode": str, "k": float, "p_min": float, "alpha": float},
+    "train": {"epochs": int, "batch_size": int, "lr0": float, "momentum": float,
+              "weight_decay": float, "seed": int, "hidden": str,  # a comma list, split below
+              "sigma_decay_final_epochs": int, "sigma_decay_factor": float},
+    "output": {"dir": str},
+}
+
+# [dataset] source -> (required keys, optional keys)
+_SOURCES = {
+    "synth": ({"num_classes", "train_per_class", "test_per_class"}, {"seed"}),
+    "cifar10": ({"train_path", "test_path"}, {"num_classes"}),
+    "cifar100": ({"train_path", "test_path"}, {"num_classes"}),
+}
 
 # [sampler] kind -> (required keys, optional keys)
 _KIND_KEYS = {
@@ -76,17 +95,6 @@ _KIND_KEYS = {
     "resize_crop": ({"sigma", "min_length"}, {"width", "height"}),
     "standard": (set(), {"width", "height", "scale_min", "scale_max",
                          "ratio_min", "ratio_max"}),
-}
-
-_SECTION_KEYS = {
-    "dataset": {"source", "num_classes", "train_per_class", "test_per_class",
-                "seed", "train_path", "test_path"},
-    "sampler": {"kind"}.union(*(required | optional
-                                for required, optional in _KIND_KEYS.values())),
-    "softening": {"mode", "k", "p_min", "alpha"},
-    "train": {"epochs", "batch_size", "lr0", "momentum", "weight_decay", "seed",
-              "hidden", "sigma_decay_final_epochs", "sigma_decay_factor"},
-    "output": {"dir"},
 }
 
 
@@ -124,24 +132,36 @@ class ExperimentConfig:
     out_dir: str
 
 
-def _value(parser: configparser.ConfigParser, section: str, key: str, kind,
-           default=None, required: bool = False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key '{key}'")
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+def _section(parser: configparser.ConfigParser, name: str, required: tuple = ()) -> dict:
+    """Every key ``name`` sets, parsed by its ``_KEYS`` type. A ``required``
+    key left out is an error; any other is absent, so its default applies."""
+    values = {}
+    for key in parser.options(name):
+        raw = parser.get(name, key).strip()
+        try:
+            values[key] = _KEYS[name][key](raw)
+        except ValueError:
+            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r}") from None
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"[{name}] is missing required key '{key}'")
+    return values
 
 
-def _given(parser: configparser.ConfigParser, section: str, kinds: dict) -> dict:
-    """The keys of ``kinds`` that ``section`` sets, parsed; absent keys are
-    left out so the dataclass default applies."""
-    return {key: _value(parser, section, key, kind)
-            for key, kind in kinds.items() if parser.has_option(section, key)}
+def _choose(values: dict, section: str, selector: str, choices: dict) -> str:
+    """Pop ``selector`` from ``values`` and check the keys left against
+    that choice's (required, optional) sets; returns the choice."""
+    choice = values.pop(selector)
+    if choice not in choices:
+        raise ConfigError(f"[{section}] {selector} must be one of {tuple(choices)}, got {choice!r}")
+    required, optional = choices[choice]
+    for key in values:
+        if key not in required | optional:
+            raise ConfigError(f"[{section}] {key} does not apply to {selector}={choice}")
+    for key in _KEYS[section]:
+        if key in required and key not in values:
+            raise ConfigError(f"[{section}] {selector}={choice} requires key '{key}'")
+    return choice
 
 
 def _build(section: str, factory, *args, **kwargs):
@@ -165,64 +185,31 @@ def _parse_list(raw: str, kind, what: str) -> tuple:
 
 
 def _parse_dataset(parser: configparser.ConfigParser) -> DatasetSpec:
-    source = _value(parser, "dataset", "source", str, required=True)
-    if source not in _SOURCES:
-        raise ConfigError(f"[dataset] source must be one of {_SOURCES}, got {source!r}")
-    if source == "synth":
-        foreign = ("train_path", "test_path")
-        required = ("num_classes", "train_per_class", "test_per_class")
-    else:
-        foreign = ("train_per_class", "test_per_class", "seed")
-        required = ("train_path", "test_path")
-    for key in foreign:
-        if parser.has_option("dataset", key):
-            raise ConfigError(f"[dataset] {key} does not apply to source={source}")
-    fields = _given(parser, "dataset", {
-        "num_classes": int, "train_per_class": int, "test_per_class": int, "seed": int,
-        "train_path": str, "test_path": str})
+    values = _section(parser, "dataset", ("source",))
+    source = _choose(values, "dataset", "source", _SOURCES)
     if source != "synth":
         fixed = 10 if source == "cifar10" else 100
-        if fields.setdefault("num_classes", fixed) != fixed:
+        if values.setdefault("num_classes", fixed) != fixed:
             raise ConfigError(f"[dataset] num_classes must be {fixed} for {source}")
-    for key in required:
-        if key not in fields:
-            raise ConfigError(f"[dataset] is missing required key '{key}'")
-    return _build("dataset", DatasetSpec, source, **fields)
+    return _build("dataset", DatasetSpec, source, **values)
 
 
 def _parse_sampler(parser: configparser.ConfigParser):
-    kind = _value(parser, "sampler", "kind", str, required=True)
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"[sampler] kind must be one of {tuple(_KIND_KEYS)}, got {kind!r}")
-    required_keys, optional_keys = _KIND_KEYS[kind]
-    allowed = required_keys | optional_keys | {"kind"}
-    for key in parser.options("sampler"):
-        if key not in allowed:
-            raise ConfigError(f"[sampler] {key} does not apply to kind={kind}")
-    for key in required_keys:
-        if not parser.has_option("sampler", key):
-            raise ConfigError(f"[sampler] kind={kind} requires key '{key}'")
-
-    def get(key, parse, default=None):
-        return _value(parser, "sampler", key, parse, default)
-
+    values = _section(parser, "sampler", ("kind",))
+    kind = _choose(values, "sampler", "kind", _KIND_KEYS)
     if kind in ("gaussian", "uniform"):
         # every source renders IMAGE_EDGE-px images
-        length = get("length", int, IMAGE_EDGE)
+        length = values.pop("length", IMAGE_EDGE)
         if length != IMAGE_EDGE:
             raise ConfigError(f"[sampler] length {length} != image edge {IMAGE_EDGE}")
         if kind == "gaussian":
-            return _build("sampler", GaussianCropConfig, get("sigma", float), IMAGE_EDGE)
-        range_r = get("range", int)
+            return _build("sampler", GaussianCropConfig, values["sigma"], IMAGE_EDGE)
+        range_r = values["range"]
         if range_r > IMAGE_EDGE:
             raise ConfigError(f"[sampler] range {range_r} exceeds image edge {IMAGE_EDGE}")
         return _build("sampler", UniformCropConfig, range_r)
-    width, height = get("width", int, 224), get("height", int, 224)
-    if kind == "resize_crop":
-        return _build("sampler", ResizeCropConfig, get("sigma", float), width, height,
-                      get("min_length", int))
-    return _build("sampler", StandardCropConfig, width, height, **_given(parser, "sampler", {
-        "scale_min": float, "scale_max": float, "ratio_min": float, "ratio_max": float}))
+    config = ResizeCropConfig if kind == "resize_crop" else StandardCropConfig
+    return _build("sampler", config, **{"width": 224, "height": 224, **values})
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -242,12 +229,12 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(parser.options(section)) - _SECTION_KEYS[section]
+        extra = set(parser.options(section)) - _KEYS[section].keys()
         if extra:
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(extra)}")
-    for section in _SECTION_KEYS:
+    for section in _KEYS:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
@@ -255,30 +242,21 @@ def parse_config(path: str) -> ExperimentConfig:
     sampler = _parse_sampler(parser)
 
     chance = 1.0 / dataset.num_classes
-    p_min = _value(parser, "softening", "p_min", float)
-    if p_min is not None and p_min != chance:
+    softening = _section(parser, "softening", ("mode",))
+    if softening.pop("p_min", chance) != chance:
         raise ConfigError(
             f"[softening] p_min is derived as 1/num_classes = {chance!r}; "
             f"remove the key or set it to exactly that value"
         )
-    policy = _build("softening", SofteningPolicy, p_min=chance,
-                    mode=_value(parser, "softening", "mode", str, required=True),
-                    **_given(parser, "softening", {"k": float, "alpha": float}))
-    decay = {key.removeprefix("sigma_decay_"): value for key, value in _given(
-        parser, "train", {"sigma_decay_final_epochs": int, "sigma_decay_factor": float}).items()}
-    options = _given(parser, "train", {"momentum": float, "weight_decay": float, "seed": int})
-    if parser.has_option("train", "hidden"):
-        options["hidden_sizes"] = _parse_list(parser.get("train", "hidden"), int,
-                                              "[train] hidden")
-    train_cfg = _build(
-        "train", TrainConfig,
-        epochs=_value(parser, "train", "epochs", int, required=True),
-        batch_size=_value(parser, "train", "batch_size", int, required=True),
-        lr0=_value(parser, "train", "lr0", float, required=True),
-        policy=policy, sampler=sampler, sigma_decay=_build("train", SigmaDecay, **decay),
-        **options,
-    )
-    out_dir = _value(parser, "output", "dir", str, required=True)
+    policy = _build("softening", SofteningPolicy, p_min=chance, **softening)
+    options = _section(parser, "train", ("epochs", "batch_size", "lr0"))
+    decay = {key.removeprefix("sigma_decay_"): options.pop(key)
+             for key in list(options) if key.startswith("sigma_decay_")}
+    if "hidden" in options:
+        options["hidden_sizes"] = _parse_list(options.pop("hidden"), int, "[train] hidden")
+    train_cfg = _build("train", TrainConfig, policy=policy, sampler=sampler,
+                       sigma_decay=_build("train", SigmaDecay, **decay), **options)
+    out_dir = _section(parser, "output", ("dir",))["dir"]
     return ExperimentConfig(path, raw, dataset, train_cfg, out_dir)
 
 
@@ -552,9 +530,10 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        # ConfigError, ParseError, CheckpointError are all ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # ConfigError, ParseError, CheckpointError are all ValueErrors; a
+        # MemoryError means a configured size the machine cannot hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -190,6 +190,9 @@ class TrainConfig:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+        if self.sigma_decay.final_epochs > 0 and not isinstance(self.sampler, GaussianCropConfig):
+            raise ValueError("sigma decay needs a gaussian sampler, got "
+                             f"{type(self.sampler).__name__}")
 
 
 @dataclass(frozen=True)

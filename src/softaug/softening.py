@@ -22,8 +22,8 @@ from .loss import canonical_mode
 class SofteningPolicy:
     """Softening curve parameters plus how the loss consumes them.
 
-    ``k`` is the curve exponent, ``p_min`` the chance-level floor
-    (1 / number of classes), and ``mode`` selects whether confidence
+    ``p_min`` is the chance-level floor (1 / number of classes), ``k``
+    the curve exponent, and ``mode`` selects whether confidence
     softens the target distribution, the sample weight, both, or
     neither ("hard" trains on plain one-hot cross entropy). The mode is
     stored under its :data:`~softaug.loss.MODES` name, so "none" reads
@@ -31,8 +31,8 @@ class SofteningPolicy:
     constant confidence 1 - alpha, not below p_min, in place of the curve.
     """
 
+    p_min: float
     k: float = 2.0
-    p_min: float = 0.01
     mode: str = "target_and_weight"
     alpha: float | None = None
 

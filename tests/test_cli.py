@@ -108,10 +108,12 @@ def test_parse_config_source_rules(cfg_path, tmp_path):
     with pytest.raises(ConfigError, match="train_path"):
         parse_config(cfg_path(dataset={"train_path": "/tmp/x.bin"}))
     # cifar needs paths and fixed class count, and no synth knobs
-    with pytest.raises(ConfigError, match="train_path"):
+    with pytest.raises(ConfigError, match="source=cifar10 requires key 'train_path'"):
         parse_config(cfg_path(dataset={
             "source": "cifar10", "num_classes": None, "train_per_class": None,
             "test_per_class": None, "seed": None}))
+    with pytest.raises(ConfigError, match="source=synth requires key 'num_classes'"):
+        parse_config(cfg_path(dataset={"num_classes": None}))
     with pytest.raises(ConfigError, match="train_per_class"):
         parse_config(cfg_path(dataset={
             "source": "cifar10", "num_classes": None, "test_per_class": None,
@@ -342,6 +344,24 @@ def test_train_exit_3_on_numeric_blowup(cfg_path, tmp_path, capsys):
     # the diagnostic is the only line: no numpy overflow warnings ahead of it
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+
+def test_train_exit_2_on_impossible_allocation(cfg_path, tmp_path, capsys):
+    # 3072 x 10**13 float64 weights is beyond any 64-bit address space, so
+    # the allocation fails without touching memory
+    assert main(["train", "--config", cfg_path(train={"hidden": 10**13})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # as with exit 3, the snapshot written before training stays
+    assert (tmp_path / "run" / "config.ini").exists()
+
+
+def test_train_exit_2_on_sigma_decay_without_gaussian(cfg_path, tmp_path, capsys):
+    path = cfg_path(sampler={"kind": "uniform", "sigma": None, "range": 4},
+                    train={"sigma_decay_final_epochs": 2})
+    assert main(["train", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: [train] sigma decay needs a gaussian")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_exit_2_on_sampler_dataset_mismatch(cfg_path, tmp_path):

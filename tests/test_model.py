@@ -284,6 +284,11 @@ def test_train_config_validation():
         small_train_config(batch_size=0)
     with pytest.raises(ValueError):
         small_train_config(policy=SofteningPolicy(p_min=0.25, alpha=1.0))
+    # sigma decay shrinks a gaussian sigma; other samplers have none to shrink
+    with pytest.raises(ValueError, match="gaussian"):
+        small_train_config(sampler=UniformCropConfig(range_r=4),
+                           sigma_decay=SigmaDecay(final_epochs=1))
+    small_train_config(sampler=UniformCropConfig(range_r=4), sigma_decay=SigmaDecay(factor=2.0))
 
 
 # --- training loop ---
@@ -358,9 +363,9 @@ def test_train_label_smoothing_arm():
 
 def test_train_rejects_below_chance_policy_up_front(monkeypatch):
     ds = synth_shapes(5, 4, seed=79)
-    # the default p_min = 0.01 is below chance 1/4 at v = 0
+    # p_min = 0.01 is below chance 1/4 at v = 0
     for mode in ("target", "target_and_weight"):
-        cfg = small_train_config(policy=SofteningPolicy(mode=mode))
+        cfg = small_train_config(policy=SofteningPolicy(p_min=0.01, mode=mode))
         with monkeypatch.context() as patch:
             patch.setattr("softaug.model._backward_batch",
                           lambda *args: pytest.fail("a batch ran"))
@@ -368,7 +373,8 @@ def test_train_rejects_below_chance_policy_up_front(monkeypatch):
                 train(ds, cfg)
     # weight-only and hard training never put p into the target
     for mode in ("weight", "hard"):
-        _, log = train(ds, small_train_config(epochs=1, policy=SofteningPolicy(mode=mode)))
+        policy = SofteningPolicy(p_min=0.01, mode=mode)
+        _, log = train(ds, small_train_config(epochs=1, policy=policy))
         assert len(log) == 1
 
 

@@ -9,16 +9,16 @@ from softaug.sslweights import normalize_batch_weights
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        SofteningPolicy(k=-1.0)
+        SofteningPolicy(p_min=0.25, k=-1.0)
     with pytest.raises(ValueError):
         SofteningPolicy(p_min=1.0)
     with pytest.raises(ValueError):
         SofteningPolicy(p_min=-0.01)
     with pytest.raises(ValueError):
-        SofteningPolicy(mode="soft")
+        SofteningPolicy(p_min=0.25, mode="soft")
     for k in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            SofteningPolicy(k=k)
+            SofteningPolicy(p_min=0.25, k=k)
     with pytest.raises(ValueError):
         SofteningPolicy(p_min=float("nan"))
     # "none" is the one accepted alias; it is stored as "hard"
@@ -68,7 +68,7 @@ def test_soften_range_and_monotone():
 
 
 def test_soften_rejects_out_of_range():
-    policy = SofteningPolicy()
+    policy = SofteningPolicy(p_min=0.25)
     with pytest.raises(ValueError):
         soften(-0.1, policy)
     with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ def test_soften_rejects_out_of_range():
 def test_label_smoothing_confidence():
     for alpha in (1.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="alpha"):
-            SofteningPolicy(alpha=alpha)
+            SofteningPolicy(p_min=0.25, alpha=alpha)
     # 1 - 0.9 rounds to 0.0999..., below the chance level 0.1
     with pytest.raises(ValueError, match="chance"):
         SofteningPolicy(p_min=0.1, alpha=0.9)
@@ -86,7 +86,7 @@ def test_label_smoothing_confidence():
         policy = SofteningPolicy(k=3.0, p_min=0.25, alpha=alpha)
         assert [soften(v, policy) for v in (0.0, 0.3, 1.0)] == [1.0 - alpha] * 3
     with pytest.raises(ValueError):
-        soften(1.1, SofteningPolicy(alpha=0.1))
+        soften(1.1, SofteningPolicy(p_min=0.25, alpha=0.1))
 
 
 def test_ssl_confidence_boundaries():
@@ -114,7 +114,7 @@ def test_ssl_monotonicity():
 
 
 def test_ssl_validates():
-    policy = SofteningPolicy()
+    policy = SofteningPolicy(p_min=0.01)
     with pytest.raises(ValueError):
         ssl_pair_confidence(1.5, policy, "SA1")
     with pytest.raises(ValueError):

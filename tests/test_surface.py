@@ -1,10 +1,12 @@
-"""The package namespace is the documented surface and nothing more."""
+"""The package namespace is the documented surface and nothing more, and
+the README documents what the code accepts."""
 
 import re
 import types
 from pathlib import Path
 
 import softaug
+from softaug.cli import _KEYS, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +24,15 @@ def test_readme_library_block_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     imported = {name for name in namespace if not name.startswith("__")}
     assert imported and imported <= set(softaug.__all__)
+
+
+def test_readme_config_block_parses_and_names_every_key(tmp_path):
+    config = README.read_text().split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", config, re.DOTALL).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert parse_config(str(path)).dataset.source == "synth"
+    for section, keys in _KEYS.items():
+        assert f"[{section}]" in block
+        for key in keys:
+            assert re.search(rf"\b{key}\b", block), f"[{section}] {key}"
