@@ -285,15 +285,26 @@ def test_writer_golden_fingerprint(name, cfg_path, tmp_path):
     assert sha256_of(out / filename) == digest
 
 
-def test_compare_golden_fingerprint(tmp_path):
+def compare_digest(tmp_path, seeds):
+    """sha256 of compare.csv for the hard and soft BASE arms over ``seeds`` seeds."""
     arm_a = write_config(tmp_path / "hard.ini", tmp_path / "out_a",
                          softening={"mode": "none"})
     arm_b = write_config(tmp_path / "soft.ini", tmp_path / "out_b")
     out = tmp_path / "cmp"
     assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
-                 "--seeds", "1", "--out", str(out)]) == 0
-    assert sha256_of(out / "compare.csv") == (
+                 "--seeds", str(seeds), "--out", str(out)]) == 0
+    return sha256_of(out / "compare.csv")
+
+
+def test_compare_golden_fingerprint(tmp_path):
+    assert compare_digest(tmp_path, 1) == (
         "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04")
+
+
+def test_compare_golden_fingerprint_three_seeds(tmp_path):
+    # six trainings: the rows must come out in arm-then-seed order
+    assert compare_digest(tmp_path, 3) == (
+        "2ddf54a13b1ef86171a7c69a325339658c42dcfb1adc4704106075043708bbd4")
 
 
 def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
