@@ -7,12 +7,19 @@ Every run directory gets a byte-for-byte snapshot of the config it was
 launched with, written before any training starts, so results stay
 attributable. Exit codes: 0 success, 2 invalid config or inputs, 3
 numeric failure during training.
+
+``compare`` trains its arm x seed models in a pool of spawned worker
+processes, one BLAS thread each. Each worker re-imports the main
+module, so a script that calls ``main`` does so under an
+``if __name__ == "__main__"`` check.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import ctypes
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -119,6 +126,8 @@ class DatasetSpec:
             check_synth_classes(self.num_classes)
         elif self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,14 @@ def _build(section: str, factory, *args, **kwargs):
         return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_list(raw: str, kind, what: str) -> tuple:
@@ -424,6 +441,67 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    Leaves the count alone when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+    is set, and does nothing when the library or its setter is missing
+    (another numpy build or BLAS). Call it after numpy is imported.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of ``workers`` spawned processes, each on one BLAS thread.
+
+    Spawn, not fork: this process already runs OpenBLAS threads. On exit
+    the pending jobs are cancelled, the running ones finished and every
+    worker joined; the resource tracker that spawning starts is stopped
+    too, unless it was running before, so no process outlives the pool.
+    A worker that died surfaces as a ChildProcessError.
+    """
+    # imported here so the commands without a pool skip their import time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    owns_tracker = tracker._pid is None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_pin_blas_threads)
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        # killed or out of memory: an OS-level failure, which main exits 2 on
+        raise ChildProcessError(str(exc)) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if owns_tracker:
+            tracker._stop()
+
+
+def _train_eval(spec: DatasetSpec, tcfg: TrainConfig) -> tuple[float, float]:
+    """One compare job, run in a pool worker: train on ``spec``'s train
+    split and return (top-1 error, ECE) on its test split. The worker
+    renders the splits itself, which is cheaper than receiving them."""
+    train_set, test_set = build_datasets(spec)
+    model, _ = train(train_set, tcfg)
+    records = evaluate(model, test_set)
+    return top1_error(records), ece(records).ece
+
+
 def cmd_compare(args: argparse.Namespace) -> None:
     cfg_a = parse_config(args.config_a)
     cfg_b = parse_config(args.config_b)
@@ -434,7 +512,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
             "compare needs both arms on identical [dataset] settings; "
             f"got {cfg_a.dataset} vs {cfg_b.dataset}"
         )
-    train_set, test_set = build_datasets(cfg_a.dataset)
+    train_set, _ = build_datasets(cfg_a.dataset)
     for cfg in (cfg_a, cfg_b):
         check_trainable(train_set, cfg.train)
     out = Path(args.out or cfg_a.out_dir)
@@ -447,16 +525,17 @@ def cmd_compare(args: argparse.Namespace) -> None:
         name_a += "_a"
         name_b += "_b"
     base = cfg_a.train.seed if args.seed is None else args.seed
-    rows: list[list] = []
+    jobs = [(name, replace(cfg.train, seed=base + i))
+            for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)) for i in range(args.seeds)]
+    with _worker_pool(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+        futures = [pool.submit(_train_eval, cfg_a.dataset, tcfg) for _, tcfg in jobs]
+        # read in submission order: rows and the first error follow the serial order
+        rows = [[name, tcfg.seed, *future.result()]
+                for (name, tcfg), future in zip(jobs, futures)]
     means = {}
-    for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)):
-        errs, eces = [], []
-        for i in range(args.seeds):
-            model, _ = train(train_set, replace(cfg.train, seed=base + i))
-            records = evaluate(model, test_set)
-            errs.append(top1_error(records))
-            eces.append(ece(records).ece)
-            rows.append([name, base + i, errs[-1], eces[-1]])
+    for name in (name_a, name_b):
+        errs = [row[2] for row in rows if row[0] == name]
+        eces = [row[3] for row in rows if row[0] == name]
         means[name] = (sum(errs) / len(errs), sum(eces) / len(eces))
     delta_err = means[name_b][0] - means[name_a][0]
     delta_ece = means[name_b][1] - means[name_a][1]
@@ -477,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and write its artifacts")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None,
+    p_train.add_argument("--seed", type=_seed, default=None,
                          help="override the [train] seed")
     p_train.add_argument("--out", default=None, help="override the [output] dir")
     p_train.set_defaults(func=cmd_train)
@@ -494,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="error of a checkpoint under growing occlusion")
     p_occ.add_argument("--config", required=True)
     p_occ.add_argument("--checkpoint", required=True)
-    p_occ.add_argument("--seed", type=int, default=0)
+    p_occ.add_argument("--seed", type=_seed, default=0)
     p_occ.add_argument("--lambdas", default=None,
                        help="comma list of occluded area fractions")
     p_occ.add_argument("--trials", type=int, default=1)
@@ -505,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="empirical statistics of the configured sampler")
     p_stats.add_argument("--config", required=True)
     p_stats.add_argument("--draws", type=int, default=100_000)
-    p_stats.add_argument("--seed", type=int, default=0)
+    p_stats.add_argument("--seed", type=_seed, default=0)
     p_stats.add_argument("--out", default=None)
     p_stats.set_defaults(func=cmd_sampler_stats)
 
@@ -513,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--config-a", required=True)
     p_cmp.add_argument("--config-b", required=True)
     p_cmp.add_argument("--seeds", type=int, default=3)
-    p_cmp.add_argument("--seed", type=int, default=None,
+    p_cmp.add_argument("--seed", type=_seed, default=None,
                        help="base seed (default: arm A's [train] seed)")
     p_cmp.add_argument("--out", default=None,
                        help="override arm A's [output] dir")

@@ -53,6 +53,11 @@ class NonFiniteLossError(RuntimeError):
             "reduce lr0 or check the input data"
         )
 
+    def __reduce__(self):
+        # rebuild from the fields, not the message, so the error survives
+        # the pickling that carries it out of a worker process
+        return type(self), (self.epoch, self.batch, self.lr)
+
 
 @dataclass
 class MlpClassifier:
@@ -187,6 +192,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")

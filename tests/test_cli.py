@@ -1,9 +1,15 @@
+import ctypes
 import dataclasses
 import hashlib
+import multiprocessing
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from softaug import GaussianCropConfig, SigmaDecay, StandardCropConfig
+from softaug import GaussianCropConfig, SigmaDecay, StandardCropConfig, cli
 from softaug.cli import ConfigError, main, parse_config
 
 BASE = {
@@ -567,6 +573,115 @@ def test_compare_rejects_dataset_mismatch(tmp_path):
                          dataset={"seed": 8})
     assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
                  "--out", str(tmp_path / "cmp")]) == 2
+
+
+def no_process_left():
+    """No compare worker and no resource tracker outlives the command:
+    this process has no child left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_leaves_no_process(tmp_path):
+    compare_digest(tmp_path, 1)
+    no_process_left()
+
+
+def exit_worker(*_args):
+    """Stands in for a compare job and kills its worker process."""
+    os._exit(1)
+
+
+@pytest.mark.parametrize("case", ["blowup", "allocation", "dead_worker"])
+def test_compare_job_errors_reach_the_cli(case, tmp_path, capfd, monkeypatch):
+    # capfd, not capsys: it also sees what a worker writes to stderr
+    overrides, code, line = {
+        "blowup": ({"lr0": 1e308}, 3, "error: non-finite loss in epoch 0, batch 1 "),
+        "allocation": ({"hidden": 10**13}, 2, "error: Unable to allocate "),
+        "dead_worker": ({}, 2, "error: A process in the process pool was terminated"),
+    }[case]
+    if case == "dead_worker":
+        monkeypatch.setattr(cli, "_train_eval", exit_worker)
+    arm_a = write_config(tmp_path / "a.ini", tmp_path / "out_a")
+    arm_b = write_config(tmp_path / "b.ini", tmp_path / "out_b", train=overrides)
+    assert main(["compare", "--config-a", arm_a, "--config-b", arm_b, "--seeds", "1",
+                 "--out", str(tmp_path / "cmp")]) == code
+    err = capfd.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err
+    no_process_left()
+
+
+def openblas():
+    """numpy's bundled OpenBLAS, or None where this numpy has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+def blas_threads():
+    """OpenBLAS threads in force in the calling process, or None."""
+    getter = getattr(openblas(), "scipy_openblas_get_num_threads64_", None)
+    if getter is None:
+        return None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter()
+
+
+def test_compare_pool_workers_run_one_blas_thread(monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    with cli._worker_pool(1) as pool:
+        threads = pool.submit(blas_threads).result(timeout=120)
+    no_process_left()
+    if threads is None:
+        pytest.skip("this numpy bundles no OpenBLAS thread getter")
+    assert threads == 1
+
+
+def test_pin_blas_threads_respects_env_and_missing_library(monkeypatch):
+    if openblas() is None:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
+        scipy_openblas_set_num_threads64_=lambda n: calls.append(n)))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    cli._pin_blas_threads()
+    assert calls == [1]
+    # a thread count the user set wins
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, "2")
+        cli._pin_blas_threads()
+        monkeypatch.delenv(name)
+    assert calls == [1]
+    # a library without the setter, or one that does not load, is skipped
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+    cli._pin_blas_threads()
+
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    cli._pin_blas_threads()
+    assert calls == [1]
+
+
+def test_negative_seeds_rejected_before_writing(cfg_path, tmp_path, capsys):
+    path = cfg_path()
+    out = tmp_path / "out"
+    for argv in (["train", "--config", path],
+                 ["sampler-stats", "--config", path, "--draws", "10"],
+                 ["compare", "--config-a", path, "--config-b", path, "--seeds", "1"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--seed", "-1", "--out", str(out)])
+        assert exit_.value.code == 2, argv
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    for section in ("dataset", "train"):
+        assert main(["train", "--config", cfg_path(**{section: {"seed": -5}})]) == 2
+        assert f"[{section}] seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_compare_same_stem_gets_suffixes(tmp_path):

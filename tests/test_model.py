@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -282,6 +283,8 @@ def test_train_config_validation():
         small_train_config(momentum=1.0)
     with pytest.raises(ValueError):
         small_train_config(batch_size=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        small_train_config(seed=-1)
     with pytest.raises(ValueError):
         small_train_config(policy=SofteningPolicy(p_min=0.25, alpha=1.0))
     # sigma decay shrinks a gaussian sigma; other samplers have none to shrink
@@ -403,6 +406,9 @@ def test_train_nonfinite_loss_diagnostic():
         train(ds, cfg)
     # batch 0's step leaves weights near 1e307, so batch 1 is the first non-finite one
     assert (err.value.epoch, err.value.batch, err.value.lr) == (0, 1, 1e308)
+    # the error crosses a process boundary intact, as it does out of a compare worker
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert (copy.epoch, copy.batch, copy.lr, str(copy)) == (0, 1, 1e308, str(err.value))
 
 
 def reference_step(param, velocity, grad, lr, momentum, weight_decay):
