@@ -9,9 +9,10 @@ attributable. Exit codes: 0 success, 2 invalid config or inputs, 3
 numeric failure during training.
 
 ``compare`` trains its arm x seed models in a pool of spawned worker
-processes, one BLAS thread each. Each worker re-imports the main
-module, so a script that calls ``main`` does so under an
-``if __name__ == "__main__"`` check.
+processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
+build, unless the user set it or OMP_NUM_THREADS. Each worker re-imports
+the main module, so a script that calls ``main`` does so under an
+``if __name__ == "__main__"`` check; a script read from stdin cannot.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import ctypes
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -124,6 +124,9 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.source == "synth":
             check_synth_classes(self.num_classes)
+            for key in ("train_per_class", "test_per_class"):
+                if getattr(self, key) < 1:
+                    raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         elif self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.seed < 0:
@@ -302,7 +305,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     train_set, test_set = build_datasets(cfg.dataset)
     tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
-    check_trainable(train_set, tcfg)
+    check_trainable(tcfg, cfg.dataset.num_classes, IMAGE_EDGE)
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
     # snapshot before training: a crashed run still records what it was
@@ -441,31 +444,13 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
 
-def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS on one thread in this process.
-
-    Leaves the count alone when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
-    is set, and does nothing when the library or its setter is missing
-    (another numpy build or BLAS). Call it after numpy is imported.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-
-
 @contextlib.contextmanager
 def _worker_pool(workers: int):
     """A pool of ``workers`` spawned processes, each on one BLAS thread.
 
-    Spawn, not fork: this process already runs OpenBLAS threads. On exit
+    Spawn, not fork: this process already runs OpenBLAS threads. Workers
+    start inside the block, under OPENBLAS_NUM_THREADS=1 unless it or
+    OMP_NUM_THREADS is set, and the environment is restored on exit. Then
     the pending jobs are cancelled, the running ones finished and every
     worker joined; the resource tracker that spawning starts is stopped
     too, unless it was running before, so no process outlives the pool.
@@ -477,19 +462,24 @@ def _worker_pool(workers: int):
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import resource_tracker
 
-    tracker = resource_tracker._resource_tracker
-    owns_tracker = tracker._pid is None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_pin_blas_threads)
+    # a private API (checked on 3.11): where it is missing, nothing is stopped
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    owns_tracker = getattr(tracker, "_pid", 0) is None
+    pin = not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         yield pool
     except BrokenProcessPool as exc:
         # killed or out of memory: an OS-level failure, which main exits 2 on
         raise ChildProcessError(str(exc)) from None
     finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
         pool.shutdown(cancel_futures=True)
         if owns_tracker:
-            tracker._stop()
+            getattr(tracker, "_stop", lambda: None)()
 
 
 def _train_eval(spec: DatasetSpec, tcfg: TrainConfig) -> tuple[float, float]:
@@ -512,9 +502,22 @@ def cmd_compare(args: argparse.Namespace) -> None:
             "compare needs both arms on identical [dataset] settings; "
             f"got {cfg_a.dataset} vs {cfg_b.dataset}"
         )
-    train_set, _ = build_datasets(cfg_a.dataset)
+    spec = cfg_a.dataset
+    if spec.source == "synth":
+        # reserved, never touched: a size too large to hold fails before any write
+        for per_class in (spec.train_per_class, spec.test_per_class):
+            np.empty((spec.num_classes * per_class, 3, IMAGE_EDGE, IMAGE_EDGE))
+    else:
+        # the spec fixes the shape, but only a decode proves the labels valid
+        build_datasets(spec)
     for cfg in (cfg_a, cfg_b):
-        check_trainable(train_set, cfg.train)
+        check_trainable(cfg.train, spec.num_classes, IMAGE_EDGE)
+    # a worker re-runs the main script by path, and one read from stdin has none
+    script = sys.modules["__main__"]
+    path = getattr(script, "__file__", None)
+    if script.__spec__ is None and path is not None and not os.path.isfile(path):
+        raise ChildProcessError(f"compare cannot run from a script read on standard input: "
+                                f"worker processes re-run it by path, and {path!r} is not a file")
     out = Path(args.out or cfg_a.out_dir)
     os.makedirs(out, exist_ok=True)
     _snapshot(cfg_a, out, "config_a.ini")
@@ -528,17 +531,14 @@ def cmd_compare(args: argparse.Namespace) -> None:
     jobs = [(name, replace(cfg.train, seed=base + i))
             for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)) for i in range(args.seeds)]
     with _worker_pool(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
-        futures = [pool.submit(_train_eval, cfg_a.dataset, tcfg) for _, tcfg in jobs]
+        futures = [pool.submit(_train_eval, spec, tcfg) for _, tcfg in jobs]
         # read in submission order: rows and the first error follow the serial order
         rows = [[name, tcfg.seed, *future.result()]
                 for (name, tcfg), future in zip(jobs, futures)]
-    means = {}
-    for name in (name_a, name_b):
-        errs = [row[2] for row in rows if row[0] == name]
-        eces = [row[3] for row in rows if row[0] == name]
-        means[name] = (sum(errs) / len(errs), sum(eces) / len(eces))
-    delta_err = means[name_b][0] - means[name_a][0]
-    delta_ece = means[name_b][1] - means[name_a][1]
+    # arm b's mean over its seeds minus arm a's, per metric column
+    n = args.seeds
+    delta_err, delta_ece = (sum(row[col] for row in rows[n:]) / n
+                            - sum(row[col] for row in rows[:n]) / n for col in (2, 3))
     rows.append(["delta", "", delta_err, delta_ece])
     _write_csv(out / "compare.csv", ["arm", "seed", "top1_error", "ece"], rows)
     print(

@@ -237,28 +237,23 @@ def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
     return cropped, visibility(tx, ty, w, h)
 
 
-def check_trainable(dataset: LabeledDataset, cfg: TrainConfig) -> None:
-    """Raise ValueError unless :func:`train` can run ``cfg`` on ``dataset``:
-    a non-empty set of square images, a same-size crop sampler that fits
-    their edge, and soft targets no lower than chance 1/num_classes."""
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    _, _, h, w = dataset.images.shape
-    if h != w:
-        raise ValueError(f"same-size crop training expects square images, got {h}x{w}")
+def check_trainable(cfg: TrainConfig, num_classes: int, edge: int) -> None:
+    """Raise ValueError unless :func:`train` can run ``cfg`` on square
+    ``edge``-px images of ``num_classes`` classes: a same-size crop
+    sampler that fits the edge, and soft targets no lower than chance."""
     if not isinstance(cfg.sampler, (GaussianCropConfig, UniformCropConfig)):
         raise ValueError(
             "resize-crop sampling needs sub-pixel resampling, which this "
             "integer-geometry trainer does not do; use gaussian or uniform"
         )
-    if isinstance(cfg.sampler, GaussianCropConfig) and cfg.sampler.length != h:
-        raise ValueError(f"sampler length {cfg.sampler.length} != image edge {h}")
-    if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > h:
-        raise ValueError(f"offset range {cfg.sampler.range_r} exceeds image edge {h}")
+    if isinstance(cfg.sampler, GaussianCropConfig) and cfg.sampler.length != edge:
+        raise ValueError(f"sampler length {cfg.sampler.length} != image edge {edge}")
+    if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > edge:
+        raise ValueError(f"offset range {cfg.sampler.range_r} exceeds image edge {edge}")
     # the target modes need p >= 1/N; the lowest p either rule gives is at v = 0
     mode, lowest = cfg.policy.mode, soften(0.0, cfg.policy)
-    if mode in ("target", "target_and_weight") and lowest < 1.0 / dataset.num_classes:
-        raise ValueError(f"mode {mode} needs every confidence >= chance 1/{dataset.num_classes}, "
+    if mode in ("target", "target_and_weight") and lowest < 1.0 / num_classes:
+        raise ValueError(f"mode {mode} needs every confidence >= chance 1/{num_classes}, "
                          f"but the policy gives {lowest:g} at v = 0")
 
 
@@ -313,8 +308,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v``; biases
     take the same step without the decay.
     """
-    check_trainable(dataset, cfg)
+    if len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset")
     n, c, h, w = dataset.images.shape
+    if h != w:
+        raise ValueError(f"same-size crop training expects square images, got {h}x{w}")
+    check_trainable(cfg, dataset.num_classes, h)
     layer_sizes = (c * h * w, *cfg.hidden_sizes, dataset.num_classes)
     root = RandomSource(cfg.seed)
     model = init_mlp(layer_sizes, root.split(0))

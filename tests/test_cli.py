@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import sys
+import types
+from multiprocessing import resource_tracker
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,9 +304,11 @@ def compare_digest(tmp_path, seeds):
     return sha256_of(out / "compare.csv")
 
 
+COMPARE_GOLDEN = "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04"
+
+
 def test_compare_golden_fingerprint(tmp_path):
-    assert compare_digest(tmp_path, 1) == (
-        "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04")
+    assert compare_digest(tmp_path, 1) == COMPARE_GOLDEN
 
 
 def test_compare_golden_fingerprint_three_seeds(tmp_path):
@@ -338,13 +342,16 @@ def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     # every command validates the whole config, not only the keys it reads
     assert main(["curve", "--config", cfg_path(dataset={"num_classes": 0})]) == 2
     assert "num_classes" in capsys.readouterr().err
-    # the synth class range holds for the commands that render no data
-    too_many = cfg_path(dataset={"num_classes": 9})
-    for command in (["curve"], ["sampler-stats", "--draws", "10"]):
-        out = tmp_path / command[0]
-        assert main([*command, "--config", too_many, "--out", str(out)]) == 2, command
-        assert "num_classes must be in [2, 8]" in capsys.readouterr().err
-        assert not out.exists()
+    # the synth class range and split sizes hold for the commands that render no data
+    for dataset, message in (({"num_classes": 9}, "num_classes must be in [2, 8]"),
+                             ({"train_per_class": 0}, "[dataset] train_per_class must be >= 1"),
+                             ({"test_per_class": 0}, "[dataset] test_per_class must be >= 1")):
+        for command in (["curve"], ["sampler-stats", "--draws", "10"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--config", cfg_path(dataset=dataset),
+                         "--out", str(out)]) == 2, command
+            assert message in capsys.readouterr().err
+            assert not out.exists()
     assert main(["curve", "--config", cfg_path(train={"lr0": "nan"})]) == 2
     assert "[train] lr0" in capsys.readouterr().err
 
@@ -605,10 +612,12 @@ def test_compare_job_errors_reach_the_cli(case, tmp_path, capfd, monkeypatch):
         monkeypatch.setattr(cli, "_train_eval", exit_worker)
     arm_a = write_config(tmp_path / "a.ini", tmp_path / "out_a")
     arm_b = write_config(tmp_path / "b.ini", tmp_path / "out_b", train=overrides)
+    before = dict(os.environ)
     assert main(["compare", "--config-a", arm_a, "--config-b", arm_b, "--seeds", "1",
                  "--out", str(tmp_path / "cmp")]) == code
     err = capfd.readouterr().err
     assert err.startswith(line) and err.count("\n") == 1, err
+    assert dict(os.environ) == before
     no_process_left()
 
 
@@ -632,39 +641,67 @@ def blas_threads():
 def test_compare_pool_workers_run_one_blas_thread(monkeypatch):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
-    with cli._worker_pool(1) as pool:
-        threads = pool.submit(blas_threads).result(timeout=120)
-    no_process_left()
-    if threads is None:
+    threads = {}
+    for user_setting in (None, "2"):
+        if user_setting:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_setting)
+        before = dict(os.environ)
+        with cli._worker_pool(1) as pool:
+            threads[user_setting] = pool.submit(blas_threads).result(timeout=120)
+        # the pin lives only in the workers' environment, never in this one's
+        assert dict(os.environ) == before
+        no_process_left()
+    if threads[None] is None:
         pytest.skip("this numpy bundles no OpenBLAS thread getter")
-    assert threads == 1
+    assert threads[None] == 1
+    # a thread count the user set wins; OpenBLAS caps it at the CPUs
+    assert threads["2"] == min(2, os.cpu_count())
 
 
-def test_pin_blas_threads_respects_env_and_missing_library(monkeypatch):
-    if openblas() is None:
-        pytest.skip("this numpy bundles no OpenBLAS")
-    calls = []
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
-        scipy_openblas_set_num_threads64_=lambda n: calls.append(n)))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    cli._pin_blas_threads()
-    assert calls == [1]
-    # a thread count the user set wins
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.setenv(name, "2")
-        cli._pin_blas_threads()
-        monkeypatch.delenv(name)
-    assert calls == [1]
-    # a library without the setter, or one that does not load, is skipped
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
-    cli._pin_blas_threads()
+def test_compare_parent_renders_no_data(tmp_path, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the compare parent rendered a dataset")
+    # patched in this process only: spawned workers import the real ones
+    monkeypatch.setattr(cli, "build_datasets", refuse)
+    monkeypatch.setattr(cli, "synth_shapes", refuse)
+    assert compare_digest(tmp_path, 1) == COMPARE_GOLDEN
 
-    def unloadable(path):
-        raise OSError(f"cannot load {path}")
-    monkeypatch.setattr(ctypes, "CDLL", unloadable)
-    cli._pin_blas_threads()
-    assert calls == [1]
+
+def test_compare_exit_2_on_dataset_too_large_to_hold(tmp_path, capsys):
+    # 4 * 10**12 images of 3 x 32 x 32 float64: no address space holds them
+    arm = write_config(tmp_path / "arm.ini", tmp_path / "out",
+                       dataset={"train_per_class": 10**12})
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config-a", arm, "--config-b", arm, "--seeds", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_exit_2_on_script_from_stdin(tmp_path, capsys, monkeypatch):
+    # python - < script.py runs a __main__ whose __file__ is '<stdin>'
+    script = types.ModuleType("__main__")
+    script.__file__ = "<stdin>"
+    monkeypatch.setitem(sys.modules, "__main__", script)
+    arm = write_config(tmp_path / "arm.ini", tmp_path / "out")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config-a", arm, "--config-b", arm, "--seeds", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: compare cannot run from a script read on standard input")
+    assert "'<stdin>' is not a file" in err and err.count("\n") == 1
+    assert not out.exists()
+    no_process_left()
+
+
+def test_compare_without_private_tracker_stop(tmp_path, monkeypatch):
+    monkeypatch.delattr(resource_tracker.ResourceTracker, "_stop")
+    compare_digest(tmp_path, 1)
+    # the tracker that compare could not stop is stopped here
+    monkeypatch.undo()
+    resource_tracker._resource_tracker._stop()
+    no_process_left()
 
 
 def test_negative_seeds_rejected_before_writing(cfg_path, tmp_path, capsys):
