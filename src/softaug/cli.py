@@ -8,6 +8,10 @@ launched with, written before any training starts, so results stay
 attributable. Exit codes: 0 success, 2 invalid config or inputs, 3
 numeric failure during training.
 
+The parser bounds the integer flags (``--seed`` >= 0, ``--points`` >= 2,
+``--trials``, ``--draws``, ``--seeds`` >= 1): an out-of-range or
+non-integer value exits 2 with a usage line before the config is read.
+
 ``compare`` trains its arm x seed models in a pool of spawned worker
 processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
 build, unless the user set it or OMP_NUM_THREADS. Each worker re-imports
@@ -137,7 +141,6 @@ class DatasetSpec:
 class ExperimentConfig:
     """One experiment INI: its raw bytes, the data, how to train, where to write."""
 
-    path: str
     raw: bytes
     dataset: DatasetSpec
     train: TrainConfig
@@ -184,12 +187,15 @@ def _build(section: str, factory, *args, **kwargs):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _seed(text: str) -> int:
-    """argparse type of every ``--seed``: a non-negative integer."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int):
+    """argparse type of an integer flag that must be >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'abc'"
+    return parse
 
 
 def _parse_list(raw: str, kind, what: str) -> tuple:
@@ -277,7 +283,7 @@ def parse_config(path: str) -> ExperimentConfig:
     train_cfg = _build("train", TrainConfig, policy=policy, sampler=sampler,
                        sigma_decay=_build("train", SigmaDecay, **decay), **options)
     out_dir = _section(parser, "output", ("dir",))["dir"]
-    return ExperimentConfig(path, raw, dataset, train_cfg, out_dir)
+    return ExperimentConfig(raw, dataset, train_cfg, out_dir)
 
 
 def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -297,19 +303,15 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return normalize(train_set, stats), normalize(test_set, stats)
 
 
-def _snapshot(cfg: ExperimentConfig, out: Path, name: str = "config.ini") -> None:
-    (out / name).write_bytes(cfg.raw)
-
-
 def cmd_train(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    train_set, test_set = build_datasets(cfg.dataset)
     tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     check_trainable(tcfg, cfg.dataset.num_classes, IMAGE_EDGE)
+    train_set, test_set = build_datasets(cfg.dataset)
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
     # snapshot before training: a crashed run still records what it was
-    _snapshot(cfg, out)
+    (out / "config.ini").write_bytes(cfg.raw)
     model, log = train(train_set, tcfg)
     _write_csv(
         out / "epoch_log.csv",
@@ -331,8 +333,6 @@ def cmd_train(args: argparse.Namespace) -> None:
 def cmd_curve(args: argparse.Namespace) -> None:
     """One softening curve per requested k, on a shared uniform v grid."""
     cfg = parse_config(args.config)
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
     policy = cfg.train.policy
     ks = _parse_list(args.k_list, float, "--k-list") if args.k_list else (policy.k,)
     rows = []
@@ -349,8 +349,6 @@ def cmd_curve(args: argparse.Namespace) -> None:
 
 def cmd_occlusion(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.lambdas:
         lambdas = _parse_list(args.lambdas, float, "--lambdas")
         if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
@@ -435,8 +433,6 @@ def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
 
 def cmd_sampler_stats(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
@@ -495,8 +491,6 @@ def _train_eval(spec: DatasetSpec, tcfg: TrainConfig) -> tuple[float, float]:
 def cmd_compare(args: argparse.Namespace) -> None:
     cfg_a = parse_config(args.config_a)
     cfg_b = parse_config(args.config_b)
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if cfg_a.dataset != cfg_b.dataset:
         raise ConfigError(
             "compare needs both arms on identical [dataset] settings; "
@@ -520,8 +514,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
                                 f"worker processes re-run it by path, and {path!r} is not a file")
     out = Path(args.out or cfg_a.out_dir)
     os.makedirs(out, exist_ok=True)
-    _snapshot(cfg_a, out, "config_a.ini")
-    _snapshot(cfg_b, out, "config_b.ini")
+    (out / "config_a.ini").write_bytes(cfg_a.raw)
+    (out / "config_b.ini").write_bytes(cfg_b.raw)
     name_a = Path(args.config_a).stem
     name_b = Path(args.config_b).stem
     if name_a == name_b:
@@ -556,14 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and write its artifacts")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=_seed, default=None,
+    p_train.add_argument("--seed", type=_at_least(0), default=None,
                          help="override the [train] seed")
     p_train.add_argument("--out", default=None, help="override the [output] dir")
     p_train.set_defaults(func=cmd_train)
 
     p_curve = sub.add_parser("curve", help="tabulate the softening curve p(v)")
     p_curve.add_argument("--config", required=True)
-    p_curve.add_argument("--points", type=int, default=101)
+    p_curve.add_argument("--points", type=_at_least(2), default=101)
     p_curve.add_argument("--k-list", default=None,
                          help="comma list of curve exponents (default: config k)")
     p_curve.add_argument("--out", default=None)
@@ -573,26 +567,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="error of a checkpoint under growing occlusion")
     p_occ.add_argument("--config", required=True)
     p_occ.add_argument("--checkpoint", required=True)
-    p_occ.add_argument("--seed", type=_seed, default=0)
+    p_occ.add_argument("--seed", type=_at_least(0), default=0)
     p_occ.add_argument("--lambdas", default=None,
                        help="comma list of occluded area fractions")
-    p_occ.add_argument("--trials", type=int, default=1)
+    p_occ.add_argument("--trials", type=_at_least(1), default=1)
     p_occ.add_argument("--out", default=None)
     p_occ.set_defaults(func=cmd_occlusion)
 
     p_stats = sub.add_parser("sampler-stats",
                              help="empirical statistics of the configured sampler")
     p_stats.add_argument("--config", required=True)
-    p_stats.add_argument("--draws", type=int, default=100_000)
-    p_stats.add_argument("--seed", type=_seed, default=0)
+    p_stats.add_argument("--draws", type=_at_least(1), default=100_000)
+    p_stats.add_argument("--seed", type=_at_least(0), default=0)
     p_stats.add_argument("--out", default=None)
     p_stats.set_defaults(func=cmd_sampler_stats)
 
     p_cmp = sub.add_parser("compare", help="train two arms over shared seeds")
     p_cmp.add_argument("--config-a", required=True)
     p_cmp.add_argument("--config-b", required=True)
-    p_cmp.add_argument("--seeds", type=int, default=3)
-    p_cmp.add_argument("--seed", type=_seed, default=None,
+    p_cmp.add_argument("--seeds", type=_at_least(1), default=3)
+    p_cmp.add_argument("--seed", type=_at_least(0), default=None,
                        help="base seed (default: arm A's [train] seed)")
     p_cmp.add_argument("--out", default=None,
                        help="override arm A's [output] dir")

@@ -1,9 +1,8 @@
 """Evaluation: top-1 error, expected calibration error, occlusion sweeps.
 
-A model's test-set behavior is captured as a list of per-sample
-prediction records; every metric here consumes those records, so the
-same evaluation pass feeds accuracy, calibration, and robustness
-numbers.
+``evaluate`` turns a test set into per-sample prediction records, which
+``top1_error`` and ``ece`` consume; ``occlusion_sweep`` scores its
+patched batches on arrays with the records' argmax rule.
 """
 
 from __future__ import annotations
@@ -146,10 +145,10 @@ def occlusion_sweep(
                 [occlude(image, lam, stream.split(i))
                  for i, image in enumerate(dataset.images)]
             )
-            occluded = LabeledDataset(
-                patched, dataset.labels, dataset.num_classes, dataset.split
-            )
-            errors.append(top1_error(evaluate(model, occluded)))
+            # argmax of the probabilities, not the logits: ties made by exp
+            # rounding resolve to the first index, as in PredictionRecord
+            predicted = softmax(forward_batch(model, patched)).argmax(axis=1)
+            errors.append(int(np.count_nonzero(predicted != dataset.labels)) / len(dataset))
         rows.append((float(lam), sum(errors) / len(errors)))
     return rows
 
@@ -168,14 +167,6 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-
-
-def write_calibration_csv(report: CalibrationReport, path: str) -> None:
-    """Per-bin reliability rows followed by a trailing ece row."""
-    rows = [[m + 1, int(report.counts[m]), report.accuracies[m], report.confidences[m]]
-            for m in range(report.num_bins)]
-    write_csv(path, ["bin", "count", "accuracy", "confidence"],
-              rows + [["ece", report.ece, "", ""]])
 
 
 def write_sweep_csv(rows: list[tuple[float, float]], path: str) -> None:

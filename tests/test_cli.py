@@ -54,9 +54,9 @@ def cfg_path(tmp_path):
 
 
 def test_parse_config_happy_path(cfg_path):
-    cfg = parse_config(cfg_path())
-    assert [f.name for f in dataclasses.fields(cfg)] == [
-        "path", "raw", "dataset", "train", "out_dir"]
+    path = cfg_path()
+    cfg = parse_config(path)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["raw", "dataset", "train", "out_dir"]
     assert cfg.dataset.source == "synth"
     assert cfg.dataset.num_classes == 4
     assert cfg.train.sampler == GaussianCropConfig(0.3, 32)
@@ -69,7 +69,7 @@ def test_parse_config_happy_path(cfg_path):
     assert cfg.train.momentum == 0.9
     assert cfg.train.sigma_decay == SigmaDecay(0, 1000.0)
     assert cfg.train.policy.alpha is None
-    assert cfg.raw == open(cfg.path, "rb").read()
+    assert cfg.raw == open(path, "rb").read()
 
 
 def test_parse_config_mode_aliases(cfg_path):
@@ -388,6 +388,17 @@ def test_train_exit_2_on_sigma_decay_without_gaussian(cfg_path, tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
+def test_train_checks_the_arm_before_rendering_data(cfg_path, tmp_path, capsys, monkeypatch):
+    def refuse(_spec):
+        raise AssertionError("train rendered the data before checking the arm")
+    monkeypatch.setattr(cli, "build_datasets", refuse)
+    path = cfg_path(sampler={"kind": "resize_crop", "sigma": 0.3, "min_length": 16,
+                             "length": None, "width": 32, "height": 32})
+    assert main(["train", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: resize-crop sampling needs sub-pixel")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_exit_2_on_sampler_dataset_mismatch(cfg_path, tmp_path):
     path = cfg_path(sampler={"kind": "gaussian", "sigma": 0.3, "length": 64})
     assert main(["train", "--config", path]) == 2
@@ -443,9 +454,7 @@ def test_curve_on_alpha_config_is_constant(cfg_path, tmp_path):
     assert all(row.endswith(",0.9") for row in rows)
 
 
-def test_curve_rejects_bad_points(cfg_path, tmp_path):
-    assert main(["curve", "--config", cfg_path(), "--points", "1",
-                 "--out", str(tmp_path / "c3")]) == 2
+def test_curve_rejects_bad_k_list(cfg_path, tmp_path):
     assert main(["curve", "--config", cfg_path(), "--k-list", " , ",
                  "--out", str(tmp_path / "c3")]) == 2
     assert not (tmp_path / "c3").exists()
@@ -486,8 +495,7 @@ def test_occlusion_rejects_bad_lambdas(cfg_path, tmp_path):
     out = str(tmp_path / "occ3")
     assert main(["occlusion", "--config", path, "--checkpoint", ckpt,
                  "--lambdas", "0,1.5", "--out", out]) == 2
-    assert main(["occlusion", "--config", path, "--checkpoint", ckpt,
-                 "--trials", "0", "--out", out]) == 2
+    assert not Path(out).exists()
 
 
 # --- sampler-stats command ---
@@ -535,11 +543,6 @@ def test_sampler_stats_rejects_range_beyond_image(cfg_path, tmp_path, capsys):
     assert main(["sampler-stats", "--config", path, "--draws", "10",
                  "--out", str(tmp_path / "s4")]) == 2
     assert "[sampler] range" in capsys.readouterr().err
-
-
-def test_sampler_stats_rejects_bad_draws(cfg_path, tmp_path):
-    assert main(["sampler-stats", "--config", cfg_path(), "--draws", "0",
-                 "--out", str(tmp_path / "s3")]) == 2
 
 
 # --- compare command ---
@@ -705,20 +708,40 @@ def test_compare_without_private_tracker_stop(tmp_path, monkeypatch):
 
 
 def test_negative_seeds_rejected_before_writing(cfg_path, tmp_path, capsys):
-    path = cfg_path()
-    out = tmp_path / "out"
-    for argv in (["train", "--config", path],
-                 ["sampler-stats", "--config", path, "--draws", "10"],
-                 ["compare", "--config-a", path, "--config-b", path, "--seeds", "1"]):
-        with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--seed", "-1", "--out", str(out)])
-        assert exit_.value.code == 2, argv
-        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     for section in ("dataset", "train"):
         assert main(["train", "--config", cfg_path(**{section: {"seed": -5}})]) == 2
         assert f"[{section}] seed must be >= 0, got -5" in capsys.readouterr().err
-    assert not out.exists()
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--seed", "-1", "must be >= 0, got -1"),
+    ("occlusion", "--seed", "-1", "must be >= 0, got -1"),
+    ("sampler-stats", "--seed", "-1", "must be >= 0, got -1"),
+    ("compare", "--seed", "-1", "must be >= 0, got -1"),
+    ("curve", "--points", "1", "must be >= 2, got 1"),
+    ("occlusion", "--trials", "0", "must be >= 1, got 0"),
+    ("sampler-stats", "--draws", "0", "must be >= 1, got 0"),
+    ("compare", "--seeds", "0", "must be >= 1, got 0"),
+    ("train", "--seed", "abc", "invalid int value: 'abc'"),
+], ids=["train-seed", "occlusion-seed", "sampler-stats-seed", "compare-seed", "curve-points",
+        "occlusion-trials", "sampler-stats-draws", "compare-seeds", "train-seed-not-int"])
+def test_integer_flags_bounded_by_parser(command, flag, value, message, tmp_path, capsys,
+                                         monkeypatch):
+    def refuse(_path):
+        raise AssertionError("the config was read before the flags were checked")
+    monkeypatch.setattr(cli, "parse_config", refuse)
+    configs = (["--config-a", "a.ini", "--config-b", "b.ini"] if command == "compare"
+               else ["--config", "exp.ini"])
+    checkpoint = ["--checkpoint", "model.bin"] if command == "occlusion" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *configs, *checkpoint, flag, value, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: softaug ")
+    assert f"argument {flag}: {message}" in err
+    assert not out.exists()
 
 
 def test_compare_same_stem_gets_suffixes(tmp_path):

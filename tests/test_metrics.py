@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from softaug import (
-    CalibrationReport,
     LabeledDataset,
     MlpClassifier,
     PredictionRecord,
     RandomSource,
     ece,
     evaluate,
+    occlude,
     occlusion_sweep,
     synth_shapes,
     top1_error,
 )
-from softaug.metrics import write_calibration_csv, write_sweep_csv
+from softaug.metrics import write_sweep_csv
 from softaug.model import init_mlp
 
 
@@ -240,24 +240,43 @@ def test_sweep_validation():
         occlusion_sweep(model, ds, RandomSource(111), trials_per_image=0)
 
 
+def record_path_sweep(model, ds, rng, lambdas, trials):
+    """The sweep re-derived through validated records: the same per-image
+    streams, then ``top1_error(evaluate(...))`` per trial."""
+    rows = []
+    for lam_index, lam in enumerate(lambdas):
+        errors = []
+        for trial in range(trials):
+            stream = rng.split(lam_index).split(trial)
+            patched = np.stack([occlude(image, lam, stream.split(i))
+                                for i, image in enumerate(ds.images)])
+            occluded = LabeledDataset(patched, ds.labels, ds.num_classes, ds.split)
+            errors.append(top1_error(evaluate(model, occluded)))
+        rows.append((lam, sum(errors) / len(errors)))
+    return rows
+
+
+def test_sweep_equals_record_path_bitwise():
+    weights = np.random.default_rng(112).normal(0.0, 0.05, (4, 3072))
+    model = MlpClassifier((3072, 4), [weights], [np.zeros(4)])
+    ds = synth_shapes(8, 4, seed=113, split="test")
+    lambdas = (0.1, 0.3, 0.7)
+    rows = occlusion_sweep(model, ds, RandomSource(114), lambdas, trials_per_image=2)
+    assert rows == record_path_sweep(model, ds, RandomSource(114), lambdas, 2)
+    assert len({err for _, err in rows}) > 1  # the patches change the predictions
+
+
+def test_sweep_breaks_ties_like_records():
+    # logits 0 and 1e-17 differ, but exp rounds both to 1.0: the records'
+    # argmax of the probabilities takes class 0, an argmax of the logits 1
+    model = MlpClassifier((3072, 2), [np.zeros((2, 3072))], [np.array([0.0, 1e-17])])
+    ds = LabeledDataset(np.ones((4, 3, 32, 32)), np.zeros(4, dtype=np.int64), 2, "test")
+    rows = occlusion_sweep(model, ds, RandomSource(115), (0.0, 0.5), trials_per_image=2)
+    assert rows == record_path_sweep(model, ds, RandomSource(115), (0.0, 0.5), 2)
+    assert rows == [(0.0, 0.0), (0.5, 0.0)]
+
+
 # --- csv writers ---
-
-
-def test_calibration_csv_layout(tmp_path):
-    report = CalibrationReport(
-        num_bins=2,
-        counts=np.array([1, 3]),
-        accuracies=np.array([0.0, 1.0 / 3.0]),
-        confidences=np.array([0.25, 0.875]),
-        ece=0.46875,
-    )
-    path = tmp_path / "cal.csv"
-    write_calibration_csv(report, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin,count,accuracy,confidence"
-    assert lines[1] == "1,1,0,0.25"
-    assert lines[2] == "2,3,0.333333,0.875"
-    assert lines[3] == "ece,0.46875,,"
 
 
 def test_sweep_csv_layout(tmp_path):

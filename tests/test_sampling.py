@@ -13,7 +13,7 @@ from softaug import (
     draw_uniform_window,
     visibility,
 )
-from softaug.sampling import draw_offset, draw_uniform_offset
+from softaug.sampling import MAX_REJECTIONS, draw_offset, draw_uniform_offset
 
 
 # --- RandomSource ---
@@ -80,6 +80,28 @@ def test_offset_truncates_toward_zero():
 def test_offset_rejection_fallback():
     for seed in range(10):
         assert draw_offset(0.4, 100.0, RandomSource(seed)) == 0
+
+
+def test_offset_rejection_rule_stream_consumption():
+    # at sigma 100x the limit about 45% of calls reject MAX_REJECTIONS draws
+    # in a row; the next call must start right after that run
+    rng = RandomSource(5)
+    raw = RandomSource(5).generator
+    fired = nonzero = 0
+    for _ in range(2000):
+        expected = 0
+        for _ in range(MAX_REJECTIONS):
+            x = raw.normal(0.0, 300.0)
+            if abs(x) <= 3:
+                expected = int(x)
+                break
+        else:
+            fired += 1
+        got = draw_offset(3, 300.0, rng)
+        assert got == expected
+        nonzero += got != 0
+    assert fired > 0 and nonzero > 0
+    np.testing.assert_equal(rng.generator.bit_generator.state, raw.bit_generator.state)
 
 
 def test_offset_validates():

@@ -1,12 +1,13 @@
 """The package namespace is the documented surface and nothing more, and
 the README documents what the code accepts."""
 
+import argparse
 import re
 import types
 from pathlib import Path
 
 import softaug
-from softaug.cli import _KEYS, parse_config
+from softaug.cli import _KEYS, build_parser, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +37,16 @@ def test_readme_config_block_parses_and_names_every_key(tmp_path):
         assert f"[{section}]" in block
         for key in keys:
             assert re.search(rf"\b{key}\b", block), f"[{section}] {key}"
+
+
+def test_readme_names_every_cli_option():
+    commands = README.read_text().split("## CLI commands", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        assert f"`{name}`" in commands, name
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    # --config must not count as named by --config-a
+                    assert re.search(rf"`{option}(?![\w-])", commands), f"{name} {option}"
