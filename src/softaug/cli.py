@@ -41,7 +41,7 @@ from .data import (
     parse_cifar100,
     synth_shapes,
 )
-from .geometry import crop_visibility, visibility
+from .geometry import _covered_fraction
 from .metrics import (
     DEFAULT_OCCLUSION_GRID,
     _bin_index,
@@ -68,10 +68,7 @@ from .sampling import (
     ResizeCropConfig,
     StandardCropConfig,
     UniformCropConfig,
-    draw_gaussian_window,
-    draw_resize_crop,
-    draw_standard_resize_crop,
-    draw_uniform_window,
+    _windows,
 )
 from .softening import SofteningPolicy, soften
 
@@ -334,7 +331,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
     """One softening curve per requested k, on a shared uniform v grid."""
     cfg = parse_config(args.config)
     policy = cfg.train.policy
-    ks = _parse_list(args.k_list, float, "--k-list") if args.k_list else (policy.k,)
+    ks = (policy.k,) if args.k_list is None else _parse_list(args.k_list, float, "--k-list")
     rows = []
     for k in ks:
         curve = replace(policy, k=k)
@@ -349,7 +346,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
 
 def cmd_occlusion(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    if args.lambdas:
+    if args.lambdas is not None:
         lambdas = _parse_list(args.lambdas, float, "--lambdas")
         if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
             raise ConfigError(f"--lambdas must lie in [0, 1], got {args.lambdas!r}")
@@ -389,19 +386,14 @@ def _visibility_rows(vs: np.ndarray) -> list[list]:
 
 
 def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
-    rng = RandomSource(seed)
     kind = {GaussianCropConfig: "gaussian", UniformCropConfig: "uniform",
             ResizeCropConfig: "resize_crop", StandardCropConfig: "standard"}[type(sampler)]
+    windows = _windows(sampler, draws, IMAGE_EDGE, RandomSource(seed).generator)
     rows: list[list] = [["kind", kind], ["draws", draws]]
     if kind in ("gaussian", "uniform"):
-        draw = draw_gaussian_window if kind == "gaussian" else draw_uniform_window
-        offsets = np.empty(2 * draws)
-        vs = np.empty(draws)
-        for i in range(draws):
-            tx, ty = draw(sampler, rng)
-            offsets[2 * i] = tx
-            offsets[2 * i + 1] = ty
-            vs[i] = visibility(tx, ty, IMAGE_EDGE, IMAGE_EDGE)
+        width = height = IMAGE_EDGE
+        # tx, ty, tx, ty, ...: the order of the draws, which the sums follow
+        offsets = windows[:, :2].astype(float).reshape(-1)
         rows += [
             ["edge", IMAGE_EDGE],
             ["mean_offset", offsets.mean()],
@@ -409,26 +401,21 @@ def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
             ["min_offset", int(offsets.min())],
             ["max_offset", int(offsets.max())],
         ]
-        return rows + _visibility_rows(vs)
-    draw = draw_resize_crop if kind == "resize_crop" else draw_standard_resize_crop
-    windows = [draw(sampler, rng) for _ in range(draws)]
-    width, height = sampler.width, sampler.height
-    ws = np.array([win.w for win in windows], dtype=float)
-    hs = np.array([win.h for win in windows], dtype=float)
-    vs = np.array([crop_visibility(win, width, height) for win in windows])
-    area = width * height
-    rows += [
-        ["width", width],
-        ["height", height],
-        ["mean_w", ws.mean()],
-        ["mean_h", hs.mean()],
-        ["min_w", int(ws.min())],
-        ["max_w", int(ws.max())],
-        ["min_h", int(hs.min())],
-        ["max_h", int(hs.max())],
-        ["mean_area_fraction", float((ws * hs / area).mean())],
-    ]
-    return rows + _visibility_rows(vs)
+    else:
+        width, height = sampler.width, sampler.height
+        ws, hs = windows[:, 2].astype(float), windows[:, 3].astype(float)
+        rows += [
+            ["width", width],
+            ["height", height],
+            ["mean_w", ws.mean()],
+            ["mean_h", hs.mean()],
+            ["min_w", int(ws.min())],
+            ["max_w", int(ws.max())],
+            ["min_h", int(hs.min())],
+            ["max_h", int(hs.max())],
+            ["mean_area_fraction", float((ws * hs / (width * height)).mean())],
+        ]
+    return rows + _visibility_rows(_covered_fraction(*windows.T, width, height))
 
 
 def cmd_sampler_stats(args: argparse.Namespace) -> None:

@@ -91,9 +91,15 @@ def crop_visibility(window: CropWindow, width: int, height: int) -> float:
     """
     if width < 1 or height < 1:
         raise ValueError(f"image sides must be >= 1, got {width}x{height}")
-    ix = min(window.tx + window.w, width) - max(window.tx, 0)
-    iy = min(window.ty + window.h, height) - max(window.ty, 0)
-    return max(ix, 0) * max(iy, 0) / (width * height)
+    return float(_covered_fraction(window.tx, window.ty, window.w, window.h, width, height))
+
+
+def _covered_fraction(tx, ty, w, h, width: int, height: int):
+    """``crop_visibility`` of windows (tx, ty, w, h), elementwise on
+    integer arrays."""
+    ix = np.minimum(tx + w, width) - np.maximum(tx, 0)
+    iy = np.minimum(ty + h, height) - np.maximum(ty, 0)
+    return np.maximum(ix, 0) * np.maximum(iy, 0) / (width * height)
 
 
 def iou(a: CropWindow, b: CropWindow) -> float:
@@ -115,22 +121,26 @@ def occlude(image: np.ndarray, lam: float, rng: "RandomSource") -> np.ndarray:
     ``lam`` is the target fraction of the image area to cover. The
     patch side is round(sqrt(lam * H * W)), capped at the image sides,
     and the patch is placed uniformly at random fully inside the image.
-    ``lam == 0`` returns an unmodified copy and consumes no randomness,
-    so sweeps at zero occlusion reproduce plain evaluation exactly.
+    A ``lam`` whose patch side rounds to 0, ``lam == 0`` among them,
+    returns an unmodified copy and consumes no randomness, so sweeps at
+    zero occlusion reproduce plain evaluation exactly.
     """
     if image.ndim != 3:
         raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"occlusion fraction must be in [0, 1], got {lam}")
-    out = image.copy()
-    if lam == 0.0:
-        return out
     _, h, w = image.shape
-    side = int(math.floor(math.sqrt(lam * h * w) + 0.5))
-    side = min(side, h, w)
+    side = _patch_side(lam, h, w)
+    out = image.copy()
     if side == 0:
         return out
     top = rng.integers(0, h - side)
     left = rng.integers(0, w - side)
     out[:, top : top + side, left : left + side] = 0.0
     return out
+
+
+def _patch_side(lam: float, h: int, w: int) -> int:
+    """Side of ``occlude``'s square patch covering a ``lam`` fraction of
+    an h x w image: round(sqrt(lam * h * w)), capped at both sides."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"occlusion fraction must be in [0, 1], got {lam}")
+    return min(int(math.floor(math.sqrt(lam * h * w) + 0.5)), h, w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .geometry import occlude
+from .geometry import _patch_side
 from .loss import softmax
 from .model import MlpClassifier, forward_batch
 from .sampling import RandomSource
@@ -126,9 +126,9 @@ def occlusion_sweep(
     """Top-1 error with a random square patch of each area fraction erased.
 
     Each (lambda, trial, image) triple gets its own split of ``rng``,
-    so results do not depend on evaluation order. lambda = 0 erases
-    nothing and consumes no randomness, so its row always equals the
-    clean error.
+    so results do not depend on evaluation order. A lambda whose patch
+    side rounds to 0, lambda = 0 among them, erases nothing and consumes
+    no randomness, so its row always equals the clean error.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -136,19 +136,37 @@ def occlusion_sweep(
         raise ValueError("need at least one occlusion fraction")
     if trials_per_image < 1:
         raise ValueError(f"trials_per_image must be >= 1, got {trials_per_image}")
+    images, labels = dataset.images, dataset.labels
+    _, _, h, w = images.shape
+
+    def error(batch: np.ndarray) -> float:
+        # argmax of the probabilities, not the logits: ties made by exp
+        # rounding resolve to the first index, as in PredictionRecord
+        predicted = softmax(forward_batch(model, batch)).argmax(axis=1)
+        return int(np.count_nonzero(predicted != labels)) / len(dataset)
+
     rows = []
+    clean = None
     for lam_index, lam in enumerate(lambdas):
-        errors = []
-        for trial in range(trials_per_image):
-            stream = rng.split(lam_index).split(trial)
-            patched = np.stack(
-                [occlude(image, lam, stream.split(i))
-                 for i, image in enumerate(dataset.images)]
-            )
-            # argmax of the probabilities, not the logits: ties made by exp
-            # rounding resolve to the first index, as in PredictionRecord
-            predicted = softmax(forward_batch(model, patched)).argmax(axis=1)
-            errors.append(int(np.count_nonzero(predicted != dataset.labels)) / len(dataset))
+        side = _patch_side(lam, h, w)
+        if side == 0:
+            # no patch and no draws: every trial scores the clean images
+            if clean is None:
+                clean = error(images)
+            errors = [clean] * trials_per_image
+        else:
+            errors = []
+            for trial in range(trials_per_image):
+                stream = rng.split(lam_index).split(trial)
+                patched = images.copy()
+                # occlude's draws, from each image's own stream
+                for i, image in enumerate(patched):
+                    source = stream.split(i)
+                    top = source.integers(0, h - side)
+                    left = source.integers(0, w - side)
+                    image[:, top : top + side, left : left + side] = 0.0
+                errors.append(error(patched))
+        # summed, not multiplied: the row is the mean of the trials' errors
         rows.append((float(lam), sum(errors) / len(errors)))
     return rows
 

@@ -4,6 +4,11 @@ All randomness in the package flows through RandomSource, a splittable
 wrapper over numpy's counter-based Philox generator. Consumers either
 draw scalars from a source directly or split off independent child
 streams, so results are reproducible regardless of evaluation order.
+
+``_windows`` draws many windows of one sampler as arrays. For one
+distribution numpy's bulk draws equal its repeated scalar draws, so it
+returns the windows the ``draw_*`` functions return call after call on
+the same stream; it may draw past the last window it returns.
 """
 
 from __future__ import annotations
@@ -174,17 +179,6 @@ def draw_uniform_window(cfg: UniformCropConfig, rng: RandomSource) -> tuple[int,
     return draw_uniform_offset(cfg.range_r, rng), draw_uniform_offset(cfg.range_r, rng)
 
 
-def _shrink(full: int, min_length: int, sigma: float, rng: RandomSource) -> int:
-    # Folded normal, clipped: delta = min(|N(0, sigma*(full-min))|, full-min),
-    # truncated toward zero. Mean delta is sigma*(full-min)*sqrt(2/pi) for
-    # small clipping mass.
-    room = full - min_length
-    if room == 0:
-        return 0
-    delta = abs(rng.normal(sigma * room))
-    return int(min(delta, float(room)))
-
-
 def draw_resize_crop(cfg: ResizeCropConfig, rng: RandomSource) -> CropWindow:
     """Variable-size crop window with Gaussian size and position.
 
@@ -194,18 +188,37 @@ def draw_resize_crop(cfg: ResizeCropConfig, rng: RandomSource) -> CropWindow:
     to half the combined extent, truncated toward zero. As sigma
     approaches 0 the window converges to the full image at the origin.
     """
-    w = cfg.width - _shrink(cfg.width, cfg.min_length, cfg.sigma, rng)
-    h = cfg.height - _shrink(cfg.height, cfg.min_length, cfg.sigma, rng)
-    tx = _centered_offset(cfg.width, w, cfg.sigma, rng)
-    ty = _centered_offset(cfg.height, h, cfg.sigma, rng)
-    # convert the center-based offset to a top-left corner
-    return CropWindow((cfg.width - w) // 2 + tx, (cfg.height - h) // 2 + ty, w, h)
+    z = rng.generator.standard_normal(_resize_crop_draws(cfg)).tolist()
+    return CropWindow(*_resize_crop_rule(cfg, z, min, max, int))
 
 
-def _centered_offset(full: int, side: int, sigma: float, rng: RandomSource) -> int:
-    bound = (full + side) / 2.0
-    x = rng.normal(sigma * (full + side))
-    return int(max(-bound, min(bound, x)))
+def _resize_crop_draws(cfg: ResizeCropConfig) -> int:
+    """Normals one resize-crop window takes: a shrink on each axis with
+    room to shrink, then a position on each axis."""
+    return 2 + (cfg.width > cfg.min_length) + (cfg.height > cfg.min_length)
+
+
+def _resize_crop_rule(cfg: ResizeCropConfig, z, minimum, maximum, trunc) -> tuple:
+    """(tx, ty, w, h) of resize-crop windows from their standard normals
+    ``z``, in draw order. Written once for both forms: one window's
+    floats with ``min``, ``max`` and ``int``, or the columns of a
+    (count, draws) block with ``np.minimum``, ``np.maximum``, ``np.trunc``.
+    """
+    z = iter(z)
+    sides = []
+    for edge in (cfg.width, cfg.height):
+        room = edge - cfg.min_length
+        # folded normal, clipped to the room, truncated toward zero; its
+        # mean is sigma*room*sqrt(2/pi) for small clipping mass
+        shrink = trunc(minimum(abs(cfg.sigma * room * next(z)), room)) if room else 0
+        sides.append(edge - shrink)
+    corners = []
+    for edge, side in zip((cfg.width, cfg.height), sides):
+        bound = (edge + side) / 2.0
+        offset = trunc(maximum(-bound, minimum(bound, cfg.sigma * (edge + side) * next(z))))
+        # the center-based offset, moved to the top-left corner
+        corners.append((edge - side) // 2 + offset)
+    return (*corners, *sides)
 
 
 def draw_standard_resize_crop(cfg: StandardCropConfig, rng: RandomSource) -> CropWindow:
@@ -218,16 +231,77 @@ def draw_standard_resize_crop(cfg: StandardCropConfig, rng: RandomSource) -> Cro
     (scale_min + scale_max) / 2) instead of biasing them small. If no
     aspect fits, the largest centered square is returned.
     """
+    return CropWindow(*_standard_window(cfg, rng.generator))
+
+
+def _standard_window(cfg: StandardCropConfig,
+                     generator: np.random.Generator) -> tuple[int, int, int, int]:
+    """One ``draw_standard_resize_crop`` window as (tx, ty, w, h)."""
     width, height = cfg.width, cfg.height
-    target = rng.uniform(cfg.scale_min, cfg.scale_max) * (width * height)
+    target = generator.uniform(cfg.scale_min, cfg.scale_max) * (width * height)
     log_ratio_min, log_ratio_max = math.log(cfg.ratio_min), math.log(cfg.ratio_max)
     for _ in range(10):
-        aspect = math.exp(rng.uniform(log_ratio_min, log_ratio_max))
+        aspect = math.exp(generator.uniform(log_ratio_min, log_ratio_max))
         w = int(round(math.sqrt(target * aspect)))
         h = int(round(math.sqrt(target / aspect)))
         if 0 < w <= width and 0 < h <= height:
-            tx = rng.integers(0, width - w)
-            ty = rng.integers(0, height - h)
-            return CropWindow(tx, ty, w, h)
+            tx = int(generator.integers(0, width - w, endpoint=True))
+            ty = int(generator.integers(0, height - h, endpoint=True))
+            return tx, ty, w, h
     side = min(width, height)
-    return CropWindow((width - side) // 2, (height - side) // 2, side, side)
+    return (width - side) // 2, (height - side) // 2, side, side
+
+
+def _offsets(limit: float, sigma_abs: float, count: int, generator: np.random.Generator,
+             chunk: int = 1 << 16) -> np.ndarray:
+    """The next ``count`` results of ``draw_offset(limit, sigma_abs, ...)``.
+
+    Normals come in blocks of ``chunk``. Between two kept draws (|x| <=
+    limit), a run of r rejected draws yields r // MAX_REJECTIONS offsets
+    of 0, and its remainder carries over to the next block.
+    """
+    out = np.empty(count, dtype=np.int64)
+    filled = pending = 0  # pending: rejected draws since the last offset
+    while filled < count:
+        x = generator.normal(0.0, sigma_abs, chunk)
+        kept = np.flatnonzero(np.abs(x) <= limit)
+        # the rejected draws before each kept draw, then after the last one
+        runs = np.diff(kept, prepend=-1, append=chunk) - 1
+        runs[0] += pending
+        zeros, pending = runs // MAX_REJECTIONS, int(runs[-1] % MAX_REJECTIONS)
+        # where each kept draw's offset lands, after the zeros before it
+        slots = filled + np.cumsum(zeros[:-1] + 1) - 1
+        end = min(count, filled + int(zeros.sum()) + kept.size)
+        out[filled:end] = 0
+        fits = slots < count
+        out[slots[fits]] = x[kept[fits]].astype(np.int64)
+        filled = end
+    return out
+
+
+def _windows(sampler, count: int, edge: int, generator: np.random.Generator) -> np.ndarray:
+    """``count`` windows of ``sampler`` as a (count, 4) int64 array of
+    (tx, ty, w, h), in the order its ``draw_*`` function returns them on
+    ``generator``. Same-size kinds have w = h = ``edge``. The array is
+    allocated before any draw, so a count too large to hold fails first.
+    """
+    windows = np.empty((count, 4), dtype=np.int64)
+    if isinstance(sampler, ResizeCropConfig):
+        z = generator.standard_normal((count, _resize_crop_draws(sampler)))
+        rule = _resize_crop_rule(sampler, z.T, np.minimum, np.maximum, np.trunc)
+        for column, values in enumerate(rule):
+            windows[:, column] = values
+    elif isinstance(sampler, StandardCropConfig):
+        # the draw count varies per window and mixes two distributions
+        for i in range(count):
+            windows[i] = _standard_window(sampler, generator)
+    else:
+        if isinstance(sampler, GaussianCropConfig):
+            offsets = _offsets(sampler.length, sampler.sigma * sampler.length,
+                               2 * count, generator)
+        else:
+            offsets = generator.integers(-sampler.range_r, sampler.range_r, 2 * count,
+                                         endpoint=True)
+        windows[:, :2] = offsets.reshape(count, 2)
+        windows[:, 2:] = edge
+    return windows

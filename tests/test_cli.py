@@ -460,6 +460,18 @@ def test_curve_rejects_bad_k_list(cfg_path, tmp_path):
     assert not (tmp_path / "c3").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k-list", ""],
+    ["occlusion", "--lambdas", "", "--checkpoint", "missing.bin"],
+], ids=["curve", "occlusion"])
+def test_empty_list_flag_rejected(argv, cfg_path, tmp_path, capsys):
+    # an empty value is not an unset flag: no fallback to the default list
+    out = tmp_path / "empty"
+    assert main([*argv, "--config", cfg_path(), "--out", str(out)]) == 2
+    assert "empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- occlusion command ---
 
 
@@ -536,6 +548,40 @@ def test_sampler_stats_standard_kind(cfg_path, tmp_path):
     # they cover is exactly their area fraction
     assert rows["frac_visibility_positive"] == "1"
     assert rows["mean_visibility"] == rows["mean_area_fraction"]
+
+
+@pytest.mark.parametrize("sampler", [
+    {}, {"kind": "uniform", "sigma": None, "range": 8}, _RESIZE, _STANDARD,
+], ids=["gaussian", "uniform", "resize_crop", "standard"])
+def test_sampler_stats_exit_2_on_draws_too_large_to_hold(sampler, cfg_path, tmp_path, capsys):
+    # every output array is allocated before the first draw
+    out = tmp_path / "huge"
+    assert main(["sampler-stats", "--config", cfg_path(sampler=sampler),
+                 "--draws", "10000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# sha256 of sampler_stats.csv at the default 100k draws, seed 1, for the
+# samplers of configs/soft_synth.ini, configs/hard_synth.ini and
+# bench/configs/resize_crop_synth.ini, pinned from the scalar draw loop
+# that the array path replaced
+STATS_100K = {
+    "gaussian": ({}, "d33dea75c1ac433277161fdd0ae157a66a80c61cbdc3e0c82189cd4159b05ef9"),
+    "uniform": ({"kind": "uniform", "sigma": None, "range": 16},
+                "073674b1edd63fedd9c19a242503f1cb9f8985c9fab4d0419ad3d3ab7d473a41"),
+    "resize_crop": ({**_RESIZE, "min_length": 8, "sigma": 0.3},
+                    "f565a896848fa9ec36f4b49048c7fb5ed8d7aa3075aee2642bf46eb3329fb9db"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATS_100K))
+def test_sampler_stats_golden_at_default_draws(kind, cfg_path, tmp_path):
+    sampler, digest = STATS_100K[kind]
+    out = tmp_path / "stats"
+    assert main(["sampler-stats", "--config", cfg_path(sampler=sampler), "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert sha256_of(out / "sampler_stats.csv") == digest
 
 
 def test_sampler_stats_rejects_range_beyond_image(cfg_path, tmp_path, capsys):

@@ -266,6 +266,20 @@ def test_sweep_equals_record_path_bitwise():
     assert len({err for _, err in rows}) > 1  # the patches change the predictions
 
 
+def test_sweep_side_zero_lambdas_equal_record_path():
+    # on 32x32 images lambda 1e-4 rounds to a patch side of 0, like lambda 0:
+    # both rows are the mean of the clean error over the trials, which on
+    # 20 images is not always the clean error itself
+    weights = np.random.default_rng(116).normal(0.0, 0.05, (4, 3072))
+    model = MlpClassifier((3072, 4), [weights], [np.zeros(4)])
+    ds = synth_shapes(5, 4, seed=116, split="test")
+    lambdas = (0.0, 1e-4, 0.3)
+    rows = occlusion_sweep(model, ds, RandomSource(117), lambdas, trials_per_image=10)
+    assert rows == record_path_sweep(model, ds, RandomSource(117), lambdas, 10)
+    clean = top1_error(evaluate(model, ds))
+    assert rows[0][1] == rows[1][1] == sum([clean] * 10) / 10 != clean
+
+
 def test_sweep_breaks_ties_like_records():
     # logits 0 and 1e-17 differ, but exp rounds both to 1.0: the records'
     # argmax of the probabilities takes class 0, an argmax of the logits 1
