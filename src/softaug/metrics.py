@@ -125,10 +125,11 @@ def occlusion_sweep(
 ) -> list[tuple[float, float]]:
     """Top-1 error with a random square patch of each area fraction erased.
 
-    Each (lambda, trial, image) triple gets its own split of ``rng``,
-    so results do not depend on evaluation order. A lambda whose patch
-    side rounds to 0, lambda = 0 among them, erases nothing and consumes
-    no randomness, so its row always equals the clean error.
+    Each (lambda, trial) pair gets its own split of ``rng``, which draws
+    the patch corners ``occlude`` would draw image by image on it, so no
+    row depends on another. A lambda whose patch side rounds to 0,
+    lambda = 0 among them, erases nothing and consumes no randomness,
+    so its row always equals the clean error.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -157,13 +158,12 @@ def occlusion_sweep(
         else:
             errors = []
             for trial in range(trials_per_image):
-                stream = rng.split(lam_index).split(trial)
+                generator = rng.split(lam_index).split(trial).generator
+                # (top, left) per image, in occlude's draw order
+                corners = generator.integers(0, (h - side, w - side), (len(images), 2),
+                                             endpoint=True)
                 patched = images.copy()
-                # occlude's draws, from each image's own stream
-                for i, image in enumerate(patched):
-                    source = stream.split(i)
-                    top = source.integers(0, h - side)
-                    left = source.integers(0, w - side)
+                for image, (top, left) in zip(patched, corners.tolist()):
                     image[:, top : top + side, left : left + side] = 0.0
                 errors.append(error(patched))
         # summed, not multiplied: the row is the mean of the trials' errors

@@ -2,10 +2,10 @@
 
 The network is fully connected with ReLU hidden layers and identity
 output; forward, backward, and the optimizer are plain numpy so every
-gradient can be checked against finite differences. The trainer applies
-the crop-soften pipeline per sample and is bit-reproducible for a fixed
-seed: dataset order, augmentation draws, and initialization all come
-from split streams of one root RandomSource.
+gradient can be checked against finite differences. The trainer draws
+each epoch's order, flips and crop windows as arrays, the windows by the
+bulk sampler ``sampler-stats`` uses, from split streams of one root
+RandomSource, so it is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CropWindow, pad_and_crop, visibility
+from .geometry import CropWindow, _covered_fraction, pad_and_crop
 from .loss import loss_and_grad
 from .sampling import (
     GaussianCropConfig,
@@ -24,11 +24,10 @@ from .sampling import (
     ResizeCropConfig,
     StandardCropConfig,
     UniformCropConfig,
-    draw_gaussian_window,
-    draw_uniform_window,
+    _windows,
 )
 from .softening import SofteningPolicy, soften
-from .data import LabeledDataset, hflip
+from .data import LabeledDataset
 
 _CHECKPOINT_MAGIC = b"SAMLP001"
 # Bytes of one row block of the in-place SGD step (16 rows of a
@@ -224,19 +223,6 @@ def effective_sigma(epoch: int, cfg: TrainConfig) -> float:
     return cfg.sampler.sigma
 
 
-def _augment(image: np.ndarray, sampler: GaussianCropConfig | UniformCropConfig,
-             rng: RandomSource) -> tuple[np.ndarray, float]:
-    """Flip-then-crop one (C, H, W) image; returns (image, visibility)."""
-    _, h, w = image.shape
-    image = hflip(image, rng)
-    if isinstance(sampler, GaussianCropConfig):
-        tx, ty = draw_gaussian_window(sampler, rng)
-    else:
-        tx, ty = draw_uniform_window(sampler, rng)
-    cropped = pad_and_crop(image, CropWindow(tx, ty, w, h))
-    return cropped, visibility(tx, ty, w, h)
-
-
 def check_trainable(cfg: TrainConfig, num_classes: int, edge: int) -> None:
     """Raise ValueError unless :func:`train` can run ``cfg`` on square
     ``edge``-px images of ``num_classes`` classes: a same-size crop
@@ -301,6 +287,11 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     the initialized model is returned untouched. Fixed seed implies a
     bit-identical model and log.
 
+    ``root.split(0)`` initializes the model. Epoch e draws from
+    ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
+    flags the flipped samples of that order, then ``sampling._windows``
+    gives their crops, last because it may draw past the last window.
+
     Every batch first checks the loss and all gradients and raises
     :class:`NonFiniteLossError` before any update if one is not
     finite. The step then runs in place, row block by row block (see
@@ -328,20 +319,21 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
         sampler = cfg.sampler
         if isinstance(sampler, GaussianCropConfig):
             sampler = replace(sampler, sigma=sigma)
-        # one stream per epoch, consumed in a fixed order: permutation
-        # first, then flip and crop draws sample by sample
-        ep_rng = root.split(epoch + 1)
-        order = ep_rng.generator.permutation(n)
+        generator = root.split(epoch + 1).generator
+        order = generator.permutation(n)
+        flips = (generator.random(n) < 0.5).tolist()
+        windows = _windows(sampler, n, h, generator)
+        vis = _covered_fraction(*windows.T, w, h).tolist()
+        epoch_ps = np.array([1.0 if mode == "hard" else soften(v, cfg.policy) for v in vis])
         loss_sum = 0.0
         wrong = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             batch = np.empty((idx.size, c * h * w))
-            ps = np.empty(idx.size)
-            for row, i in enumerate(idx):
-                image, vis = _augment(dataset.images[i], sampler, ep_rng)
-                batch[row] = image.reshape(-1)
-                ps[row] = 1.0 if mode == "hard" else soften(vis, cfg.policy)
+            for k, i in enumerate(idx, start):
+                image = dataset.images[i][:, :, ::-1] if flips[k] else dataset.images[i]
+                batch[k - start] = pad_and_crop(image, CropWindow(*windows[k].tolist())).reshape(-1)
+            ps = epoch_ps[start : start + idx.size]
             labels = dataset.labels[idx]
             # a blow-up surfaces as NonFiniteLossError below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
@@ -372,7 +364,7 @@ def save_checkpoint(model: MlpClassifier, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> MlpClassifier:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`; NaN or inf is an error."""
     with open(path, "rb") as fh:
         data = fh.read()
     fixed = struct.calcsize("<8sII")
@@ -403,6 +395,8 @@ def load_checkpoint(path: str) -> MlpClassifier:
         offset += 8 * fan_out * fan_in
         b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
         offset += 8 * fan_out
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CheckpointError(f"layer {i} has a non-finite weight or bias")
         weights.append(w.reshape(fan_out, fan_in).copy())
         biases.append(b.copy())
     return MlpClassifier(tuple(sizes), weights, biases)

@@ -29,7 +29,7 @@ class RandomSource:
     Wraps ``numpy.random.Generator`` over the counter-based Philox bit
     generator. ``split(index)`` derives a statistically independent
     child stream from (seed, path, index) without consuming state from
-    the parent, so per-sample streams do not depend on iteration order.
+    the parent, so child streams do not depend on iteration order.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):

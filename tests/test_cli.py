@@ -212,18 +212,18 @@ GOLDEN = {
     "uniform_none": (
         {"sampler": {"kind": "uniform", "sigma": None, "range": 8},
          "softening": {"mode": "none"}},
-        "b357ce99ea618379ce2e257b0266c528cf1d85e0575b6161ea222a633e6ded26",
-        "ea5bf7f8fd75ea00c08e234e84a729d63555dc1578ae0d0b17be9c6a9514af45",
+        "b32a99eda3de3c38e2916deca3f88f50958728fe23bff259185d11e128485d8e",
+        "89590bec76abda2c23b2c0062f41b0097269d26887d5a7ccc08b3db9cce5b1ef",
     ),
     "gaussian_sigma_decay": (
         {"train": {"sigma_decay_final_epochs": 1}},
-        "50cac6f5922f43364255ca64d2dc3c55ed56d10aa84ce7ff15cca62a80a33f01",
-        "0d86022b3971937b6eb4759fa4103bc3de7abe555257c006d811b188ed24cb6b",
+        "0900efc5badfb23970981b78014afbee62f32cec1e3dd62da30ecd47995d8de9",
+        "715098d7acab2f221153c3a926890217fcdbb0acb9494f1409d2b08f3099b6d6",
     ),
     "gaussian_alpha": (
         {"softening": {"alpha": 0.1}},
-        "a61c2f2f71f09f922b42daadde11ac2095cbb7850c38f40d932511da44fcd91f",
-        "773ea110045e6a37e2158d2d1f3f6fd8d8f6866acf1f301b98a1decf34162af6",
+        "f442f9c42843d7e291e1767a4ecbbcee20dbac2c5f9e507c8e785925e6acf76f",
+        "a2d9182fdd068335a4b5ada05ac4e40b7f4504a4f2f33f9cc4b86e28e1e2d9dc",
     ),
 }
 
@@ -275,7 +275,7 @@ GOLDEN_WRITERS = {
     "occlusion": (
         {}, ["occlusion", "--checkpoint", "{run}/checkpoint.bin", "--trials", "2",
              "--seed", "3"], "occlusion.csv",
-        "c5e522b9a8b7e449e41ddd027a94de8adda236a3636735b263a571c1a9c1e19e",
+        "e6688ad732b21d9ff62fc7f9528a31bd663e2f3049a804401f3e41ee2532ddd8",
     ),
 }
 
@@ -304,7 +304,7 @@ def compare_digest(tmp_path, seeds):
     return sha256_of(out / "compare.csv")
 
 
-COMPARE_GOLDEN = "e3294a2d94f381a2be77b926ed5254a1e7e42fa617c86bad816b5a37e69f1c04"
+COMPARE_GOLDEN = "792cb40546b3759842cd688a31cd6564ff70e84363952fac137ea17fb29fb799"
 
 
 def test_compare_golden_fingerprint(tmp_path):
@@ -314,7 +314,7 @@ def test_compare_golden_fingerprint(tmp_path):
 def test_compare_golden_fingerprint_three_seeds(tmp_path):
     # six trainings: the rows must come out in arm-then-seed order
     assert compare_digest(tmp_path, 3) == (
-        "2ddf54a13b1ef86171a7c69a325339658c42dcfb1adc4704106075043708bbd4")
+        "47015130812a38029379adb87574d1ffe83654ef1f657db787b171cec1d60d9a")
 
 
 def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
@@ -498,6 +498,20 @@ def test_occlusion_rejects_architecture_mismatch(cfg_path, tmp_path):
     assert main(["occlusion", "--config", other,
                  "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
                  "--out", str(tmp_path / "occ2")]) == 2
+
+
+def test_occlusion_rejects_non_finite_checkpoint(cfg_path, tmp_path, capsys):
+    path = cfg_path()
+    assert main(["train", "--config", path]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    blob = bytearray(ckpt.read_bytes())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last bias
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "occ"
+    assert main(["occlusion", "--config", path, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    assert "layer 1 has a non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_occlusion_rejects_bad_lambdas(cfg_path, tmp_path):

@@ -241,14 +241,15 @@ def test_sweep_validation():
 
 
 def record_path_sweep(model, ds, rng, lambdas, trials):
-    """The sweep re-derived through validated records: the same per-image
-    streams, then ``top1_error(evaluate(...))`` per trial."""
+    """The sweep re-derived through validated records: ``occlude`` image by
+    image on each (lambda, trial) stream, then ``top1_error(evaluate(...))``
+    per trial."""
     rows = []
     for lam_index, lam in enumerate(lambdas):
         errors = []
         for trial in range(trials):
             stream = rng.split(lam_index).split(trial)
-            patched = np.stack([occlude(image, lam, stream.split(i))
+            patched = np.stack([occlude(image, lam, stream)
                                 for i, image in enumerate(ds.images)])
             occluded = LabeledDataset(patched, ds.labels, ds.num_classes, ds.split)
             errors.append(top1_error(evaluate(model, occluded)))

@@ -1,11 +1,13 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from softaug import (
     CheckpointError,
+    CropWindow,
     GaussianCropConfig,
     LabeledDataset,
     MlpClassifier,
@@ -17,9 +19,15 @@ from softaug import (
     StandardCropConfig,
     TrainConfig,
     UniformCropConfig,
+    draw_gaussian_window,
+    draw_uniform_window,
+    pad_and_crop,
+    soften,
     synth_shapes,
     train,
+    visibility,
 )
+from softaug.data import hflip
 from softaug.model import (
     _STEP_BLOCK_BYTES,
     _all_finite,
@@ -364,6 +372,53 @@ def test_train_label_smoothing_arm():
     assert model.layer_sizes == (3072, 16, 4)
 
 
+def scalar_epoch_batches(ds, cfg, epoch):
+    """One epoch's (batch, labels, ps) re-derived from scalar public calls
+    on its stream: the order, then one flip draw per sample, then one
+    window per sample."""
+    n, _, h, w = ds.images.shape
+    rng = RandomSource(cfg.seed).split(epoch + 1)
+    order = rng.generator.permutation(n)
+    images = [hflip(ds.images[i], rng) for i in order]
+    sampler, draw = cfg.sampler, draw_uniform_window
+    if isinstance(sampler, GaussianCropConfig):
+        sampler, draw = replace(sampler, sigma=effective_sigma(epoch, cfg)), draw_gaussian_window
+    offsets = [draw(sampler, rng) for _ in range(n)]
+    rows = [pad_and_crop(image, CropWindow(tx, ty, w, h)).reshape(-1)
+            for image, (tx, ty) in zip(images, offsets)]
+    ps = [1.0 if cfg.policy.mode == "hard" else soften(visibility(tx, ty, w, h), cfg.policy)
+          for tx, ty in offsets]
+    for start in range(0, n, cfg.batch_size):
+        end = start + cfg.batch_size
+        yield np.array(rows[start:end]), ds.labels[order[start:end]], np.array(ps[start:end])
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(mode="none", sampler=UniformCropConfig(range_r=8)),
+    # sigma 0.6 rejects about 1 normal in 10, so the bulk scan skips draws
+    dict(sampler=GaussianCropConfig(sigma=0.6, length=32)),
+    dict(sampler=GaussianCropConfig(sigma=0.6, length=32), sigma_decay=SigmaDecay(1)),
+], ids=["uniform_none", "gaussian_target_and_weight", "gaussian_sigma_decay"])
+def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
+    ds = synth_shapes(3, 4, seed=78)  # 12 images: batches of 5, 5 and 2
+    cfg = small_train_config(epochs=2, batch_size=5, **overrides)
+    seen = []
+
+    def spy(model, x, labels, ps, mode):
+        seen.append((x.copy(), labels.copy(), ps.copy()))
+        return _backward_batch(model, x, labels, ps, mode)
+
+    monkeypatch.setattr("softaug.model._backward_batch", spy)
+    train(ds, cfg)
+    expected = [batch for epoch in range(cfg.epochs)
+                for batch in scalar_epoch_batches(ds, cfg, epoch)]
+    assert len(seen) == len(expected) == 6
+    for (x, labels, ps), (x_ref, labels_ref, ps_ref) in zip(seen, expected):
+        assert x.tobytes() == x_ref.tobytes()
+        assert labels.tolist() == labels_ref.tolist()
+        assert ps.tobytes() == ps_ref.tobytes()
+
+
 def test_train_rejects_below_chance_policy_up_front(monkeypatch):
     ds = synth_shapes(5, 4, seed=79)
     # p_min = 0.01 is below chance 1/4 at v = 0
@@ -498,3 +553,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     open(bad, "wb").write(bytes(version))
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    path = str(tmp_path / "model.bin")
+    for value in (np.nan, np.inf, -np.inf):
+        for layer, params in ((0, "weights"), (1, "biases")):
+            model = init_mlp((4, 3, 2), RandomSource(81))
+            getattr(model, params)[layer].reshape(-1)[1] = value
+            save_checkpoint(model, path)
+            with pytest.raises(CheckpointError, match=f"layer {layer} "):
+                load_checkpoint(path)
