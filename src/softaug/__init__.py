@@ -2,7 +2,7 @@
 classifiers, with samplers, losses, a trainer, and calibration metrics.
 
 The package namespace holds the documented surface in ``__all__``;
-everything else lives in its submodule, e.g. ``softaug.loss.log_softmax``.
+everything else lives in its submodule, e.g. ``softaug.loss.softmax``.
 """
 
 from .geometry import CropWindow, iou, occlude, pad_and_crop, visibility

@@ -245,7 +245,7 @@ def parse_config(path: str) -> ExperimentConfig:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(raw.decode("utf-8"), source=path)
     except (UnicodeDecodeError, configparser.Error) as exc:
@@ -503,15 +503,15 @@ def cmd_compare(args: argparse.Namespace) -> None:
     os.makedirs(out, exist_ok=True)
     (out / "config_a.ini").write_bytes(cfg_a.raw)
     (out / "config_b.ini").write_bytes(cfg_b.raw)
-    name_a = Path(args.config_a).stem
-    name_b = Path(args.config_b).stem
+    name_a, name_b = Path(args.config_a).stem, Path(args.config_b).stem
     if name_a == name_b:
         name_a += "_a"
         name_b += "_b"
     base = cfg_a.train.seed if args.seed is None else args.seed
     jobs = [(name, replace(cfg.train, seed=base + i))
             for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)) for i in range(args.seeds)]
-    with _worker_pool(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with _worker_pool(min(len(jobs), cpus or 1)) as pool:
         futures = [pool.submit(_train_eval, spec, tcfg) for _, tcfg in jobs]
         # read in submission order: rows and the first error follow the serial order
         rows = [[name, tcfg.seed, *future.result()]

@@ -37,7 +37,7 @@ def canonical_mode(mode: str) -> str:
     return name
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis via the log-sum-exp trick.
 
     Never computed as log(softmax(x)): each row is shifted by its max,
@@ -104,7 +104,7 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, ps: np.ndarray,
     else:
         targets = _soft_targets(labels, ps, num_classes)
     weights = np.ones(b) if mode in ("hard", "target") else ps
-    log_q = log_softmax(logits)
+    log_q = _log_softmax(logits)
     q = np.exp(log_q)
     mask = targets > 0
     safe = np.where(mask, targets, 1.0)

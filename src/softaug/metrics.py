@@ -37,7 +37,8 @@ class PredictionRecord:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError(f"probs must be a 1-d vector with >= 2 entries, got {probs.shape}")
-        if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-6:
+        # positive form, so that NaN and inf fail it
+        if not ((probs >= 0).all() and abs(float(probs.sum()) - 1.0) <= 1e-6):
             raise ValueError("probs must be non-negative and sum to 1")
         if not 0 <= true_class < probs.size:
             raise ValueError(f"true_class {true_class} out of range for {probs.size} classes")

@@ -290,7 +290,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     ``root.split(0)`` initializes the model. Epoch e draws from
     ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
     flags the flipped samples of that order, then ``sampling._windows``
-    gives their crops, last because it may draw past the last window.
+    gives their crops.
 
     Every batch first checks the loss and all gradients and raises
     :class:`NonFiniteLossError` before any update if one is not

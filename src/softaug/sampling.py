@@ -5,10 +5,9 @@ wrapper over numpy's counter-based Philox generator. Consumers either
 draw scalars from a source directly or split off independent child
 streams, so results are reproducible regardless of evaluation order.
 
-``_windows`` draws many windows of one sampler as arrays. For one
-distribution numpy's bulk draws equal its repeated scalar draws, so it
-returns the windows the ``draw_*`` functions return call after call on
-the same stream; it may draw past the last window it returns.
+``_windows`` draws many windows of one sampler as arrays. numpy's bulk
+draws of one distribution equal its repeated scalar draws, so these are
+the ``draw_*`` windows, and the stream ends where those calls leave it.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import numpy as np
 from .geometry import CropWindow
 
 MAX_REJECTIONS = 100
+_MAX_BLOCK = 1 << 16
 
 
 class RandomSource:
@@ -252,38 +252,37 @@ def _standard_window(cfg: StandardCropConfig,
     return (width - side) // 2, (height - side) // 2, side, side
 
 
-def _offsets(limit: float, sigma_abs: float, count: int, generator: np.random.Generator,
-             chunk: int = 1 << 16) -> np.ndarray:
+def _offsets(limit: float, sigma_abs: float, count: int,
+             generator: np.random.Generator) -> np.ndarray:
     """The next ``count`` results of ``draw_offset(limit, sigma_abs, ...)``.
 
-    Normals come in blocks of ``chunk``. Between two kept draws (|x| <=
-    limit), a run of r rejected draws yields r // MAX_REJECTIONS offsets
-    of 0, and its remainder carries over to the next block.
+    Each offset ends on a draw of its own, so a block of normals no
+    longer than the offsets still needed ends by the last offset's draw.
+    Between two kept draws (|x| <= limit), a run of r rejected draws
+    yields r // MAX_REJECTIONS zeros; its remainder carries over.
     """
-    out = np.empty(count, dtype=np.int64)
+    out = np.zeros(count, dtype=np.int64)
     filled = pending = 0  # pending: rejected draws since the last offset
     while filled < count:
-        x = generator.normal(0.0, sigma_abs, chunk)
+        size = min(count - filled, _MAX_BLOCK)
+        x = generator.normal(0.0, sigma_abs, size)
         kept = np.flatnonzero(np.abs(x) <= limit)
         # the rejected draws before each kept draw, then after the last one
-        runs = np.diff(kept, prepend=-1, append=chunk) - 1
+        runs = np.diff(kept, prepend=-1, append=size) - 1
         runs[0] += pending
         zeros, pending = runs // MAX_REJECTIONS, int(runs[-1] % MAX_REJECTIONS)
         # where each kept draw's offset lands, after the zeros before it
-        slots = filled + np.cumsum(zeros[:-1] + 1) - 1
-        end = min(count, filled + int(zeros.sum()) + kept.size)
-        out[filled:end] = 0
-        fits = slots < count
-        out[slots[fits]] = x[kept[fits]].astype(np.int64)
-        filled = end
+        out[filled + np.cumsum(zeros[:-1] + 1) - 1] = x[kept].astype(np.int64)
+        filled += int(zeros.sum()) + kept.size
     return out
 
 
 def _windows(sampler, count: int, edge: int, generator: np.random.Generator) -> np.ndarray:
     """``count`` windows of ``sampler`` as a (count, 4) int64 array of
-    (tx, ty, w, h), in the order its ``draw_*`` function returns them on
-    ``generator``. Same-size kinds have w = h = ``edge``. The array is
-    allocated before any draw, so a count too large to hold fails first.
+    (tx, ty, w, h): those ``count`` calls of its ``draw_*`` function
+    return on ``generator``, which is left where those calls leave it.
+    Same-size kinds have w = h = ``edge``. The array is allocated before
+    any draw, so a count too large to hold fails first.
     """
     windows = np.empty((count, 4), dtype=np.int64)
     if isinstance(sampler, ResizeCropConfig):

@@ -356,6 +356,27 @@ def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     assert "[train] lr0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rewrite, code, written", [
+    (lambda text, run: text.replace(f"= {run}", f"= {run}/runs/100%"), 0, "runs/100%"),
+    (lambda text, run: text.replace(f"= {run}", f"= {run}/%(seed)s"), 0, "%(seed)s"),
+    (lambda text, _run: "[DEFAULT]\nseed = 3\n" + text, 2, None),
+    (lambda text, _run: text.replace("k = 2", "k = 2\nk = 3"), 2, None),
+    (lambda text, _run: text.replace("k = 2", "k = 2 ; \udcff"), 2, None),
+], ids=["percent", "percent-placeholder", "default-section", "duplicate-key", "non-utf8"])
+def test_hostile_ini_text_exits_cleanly(rewrite, code, written, cfg_path, tmp_path, capsys):
+    # values are read literally: a % is neither an escape nor a reference
+    path = Path(cfg_path())
+    text = rewrite(path.read_text(), tmp_path / "run")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert main(["curve", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")
+    else:
+        assert (tmp_path / "run" / written / "curve.csv").is_file()
+
+
 def test_train_exit_2_on_missing_config(capsys):
     assert main(["train", "--config", "/nonexistent/exp.ini"]) == 2
 
@@ -765,6 +786,13 @@ def test_compare_without_private_tracker_stop(tmp_path, monkeypatch):
     monkeypatch.undo()
     resource_tracker._resource_tracker._stop()
     no_process_left()
+
+
+def test_compare_without_sched_getaffinity(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; the pool falls back
+    # to os.cpu_count, and rows are read in submission order either way
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert compare_digest(tmp_path, 1) == COMPARE_GOLDEN
 
 
 def test_negative_seeds_rejected_before_writing(cfg_path, tmp_path, capsys):

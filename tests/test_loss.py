@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softaug import MODES, loss_and_grad, make_soft_target, soft_loss, soft_loss_grad
-from softaug.loss import log_softmax, softmax
+from softaug.loss import _log_softmax, softmax
 
 
 def fd_gradient(logits, true_class, p, mode, h=1e-4):
@@ -25,11 +25,11 @@ def test_log_softmax_matches_naive():
     for _ in range(100):
         logits = rng.normal(0.0, 2.0, 6)
         naive = np.log(np.exp(logits) / np.exp(logits).sum())
-        assert log_softmax(logits) == pytest.approx(naive, abs=1e-12)
+        assert _log_softmax(logits) == pytest.approx(naive, abs=1e-12)
 
 
 def test_log_softmax_survives_huge_logits():
-    out = log_softmax(np.array([1000.0, 999.0, -1000.0]))
+    out = _log_softmax(np.array([1000.0, 999.0, -1000.0]))
     assert np.isfinite(out).all()
     assert softmax(np.array([1000.0, 999.0, -1000.0])).sum() == pytest.approx(1.0)
 
@@ -38,7 +38,7 @@ def test_softmax_rows_match_vectors():
     # both reduce over the last axis: each row of a (7, N) call equals
     # the 1-d call on that row, bit for bit
     rng = np.random.default_rng(41)
-    for fn in (softmax, log_softmax):
+    for fn in (softmax, _log_softmax):
         for n in (2, 10, 100):
             logits = rng.normal(0.0, 3.0, (7, n))
             logits[0] += 1000.0
@@ -100,7 +100,7 @@ def test_p_one_collapses_to_cross_entropy():
     rng = np.random.default_rng(43)
     for _ in range(100):
         logits = rng.normal(0.0, 2.0, 10)
-        ce = -log_softmax(logits)[4]
+        ce = -_log_softmax(logits)[4]
         for mode in MODES:
             assert soft_loss(logits, 4, 1.0, mode) == pytest.approx(ce, abs=1e-10)
 

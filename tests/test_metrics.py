@@ -81,6 +81,14 @@ def test_record_validation():
         PredictionRecord.from_probs(np.array([-0.2, 1.2]), 0)
 
 
+@pytest.mark.parametrize("probs", [
+    [np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.5], [-np.inf, 1.0], [np.inf, -np.inf],
+], ids=["nan-half", "nan-nan", "inf", "minus-inf", "inf-minus-inf"])
+def test_record_rejects_non_finite_probs(probs):
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        PredictionRecord.from_probs(np.array(probs), 0)
+
+
 def test_top1_error_counts_misses():
     records = [record(0.9, True), record(0.9, True), record(0.9, True), record(0.9, False)]
     assert top1_error(records) == 0.25

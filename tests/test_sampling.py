@@ -13,6 +13,7 @@ from softaug import (
     draw_uniform_window,
     visibility,
 )
+from softaug import sampling
 from softaug.sampling import (
     MAX_REJECTIONS,
     _offsets,
@@ -293,30 +294,54 @@ def scalar_windows(sampler, count, rng):
     return [(win.tx, win.ty, win.w, win.h) for win in windows]
 
 
+class CountingGenerator:
+    """Stand-in for a generator whose ``normal`` is the only call; counts
+    the blocks drawn."""
+
+    def __init__(self, generator):
+        self.generator, self.blocks = generator, 0
+
+    def normal(self, loc, scale, size):
+        self.blocks += 1
+        return self.generator.normal(loc, scale, size)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("chunk", [37, 1 << 16])
-def test_bulk_offsets_match_scalar_through_rejection_runs(seed, chunk):
+@pytest.mark.parametrize("cap", [37, 1 << 16])
+def test_bulk_offsets_match_scalar_through_rejection_runs(seed, cap, monkeypatch):
     # at sigma 100x the limit most draws are rejected and about half the
     # calls end in a run of MAX_REJECTIONS; a 37-draw block is shorter
     # than such a run, so every run spans a block boundary
+    monkeypatch.setattr(sampling, "_MAX_BLOCK", cap)
     scalar = RandomSource(seed)
     expected = [draw_offset(3, 300.0, scalar) for _ in range(1500)]
-    bulk = _offsets(3, 300.0, 1500, RandomSource(seed).generator, chunk)
-    assert bulk.tolist() == expected
+    bulk = CountingGenerator(RandomSource(seed).generator)
+    assert _offsets(3, 300.0, 1500, bulk).tolist() == expected
+    np.testing.assert_equal(bulk.generator.bit_generator.state,
+                            scalar.generator.bit_generator.state)
+    # each block is no longer than the offsets still needed, so the
+    # rejections take many blocks even below the cap
+    assert bulk.blocks > 100
     # a kept draw truncates to 0 one time in three; the rule makes the rest
     assert expected.count(0) > 750 and set(expected) == {-2, -1, 0, 1, 2}
 
 
 def test_bulk_offsets_match_scalar_at_bench_sigma():
+    # 70 000 offsets need more normals than one block of _MAX_BLOCK
     scalar = RandomSource(9)
-    expected = [draw_offset(32, 0.3 * 32, scalar) for _ in range(5000)]
-    assert _offsets(32, 0.3 * 32, 5000, RandomSource(9).generator, 64).tolist() == expected
+    expected = [draw_offset(32, 0.3 * 32, scalar) for _ in range(70_000)]
+    bulk = CountingGenerator(RandomSource(9).generator)
+    assert _offsets(32, 0.3 * 32, 70_000, bulk).tolist() == expected
+    np.testing.assert_equal(bulk.generator.bit_generator.state,
+                            scalar.generator.bit_generator.state)
+    assert bulk.blocks >= 2
 
 
 @pytest.mark.parametrize("sampler", [
     GaussianCropConfig(sigma=0.3, length=32),
     GaussianCropConfig(sigma=9.0, length=32),
     UniformCropConfig(range_r=16),
+    UniformCropConfig(range_r=5),
     UniformCropConfig(range_r=0),
     ResizeCropConfig(sigma=0.3, width=32, height=32, min_length=8),
     ResizeCropConfig(sigma=0.3, width=32, height=16, min_length=16),  # no room in y
@@ -324,31 +349,34 @@ def test_bulk_offsets_match_scalar_at_bench_sigma():
     ResizeCropConfig(sigma=0.3, width=16, height=16, min_length=16),  # no room at all
     ResizeCropConfig(sigma=2.0, width=64, height=48, min_length=4),
     StandardCropConfig(32, 32),
+    StandardCropConfig(24, 32),
     # every aspect is wider than the image: the centered-square fallback
     StandardCropConfig(32, 32, scale_min=1.0, scale_max=1.0, ratio_min=1.5, ratio_max=2.0),
-], ids=["gaussian", "gaussian-wide", "uniform", "uniform-range0", "resize", "resize-room-x",
-        "resize-room-y", "resize-no-room", "resize-rect", "standard", "standard-fallback"])
+], ids=["gaussian", "gaussian-wide", "uniform", "uniform-r5", "uniform-range0", "resize",
+        "resize-room-x", "resize-room-y", "resize-no-room", "resize-rect", "standard",
+        "standard-24x32", "standard-fallback"])
 def test_bulk_windows_match_scalar_draws(sampler):
+    # the same windows, and the stream ends where the scalar draws leave it
     count = 2000
     scalar = RandomSource(31)
     expected = scalar_windows(sampler, count, scalar)
-    windows = _windows(sampler, count, 32, RandomSource(31).generator)
+    bulk = RandomSource(31).generator
+    windows = _windows(sampler, count, 32, bulk)
     assert windows.dtype == np.int64 and windows.shape == (count, 4)
     assert [tuple(row) for row in windows.tolist()] == expected
+    np.testing.assert_equal(bulk.bit_generator.state, scalar.generator.bit_generator.state)
     if isinstance(sampler, StandardCropConfig) and sampler.ratio_min == 1.5:
         assert set(expected) == {(0, 0, 32, 32)}
 
 
 @pytest.mark.parametrize("sampler", [
-    UniformCropConfig(range_r=5),
     ResizeCropConfig(sigma=0.3, width=32, height=16, min_length=16),
-    StandardCropConfig(24, 32),
-], ids=["uniform", "resize", "standard"])
+], ids=["resize"])
 def test_bulk_windows_consume_the_scalar_draws(sampler):
-    # these kinds draw no more than the windows need: the stream ends
-    # where the scalar draws leave it
+    # the no-room-in-y resize case again, on another seed and draw count:
+    # the same windows, and the stream ends where the scalar draws leave it
     scalar = RandomSource(32)
-    scalar_windows(sampler, 700, scalar)
+    expected = scalar_windows(sampler, 700, scalar)
     bulk = RandomSource(32).generator
-    _windows(sampler, 700, 32, bulk)
+    assert [tuple(row) for row in _windows(sampler, 700, 32, bulk).tolist()] == expected
     np.testing.assert_equal(bulk.bit_generator.state, scalar.generator.bit_generator.state)
