@@ -26,7 +26,7 @@ import configparser
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,7 @@ from .metrics import (
 from .metrics import write_csv as _write_csv  # the benchmark tracer patches this name
 from .model import (
     CheckpointError,
+    EpochStats,
     NonFiniteLossError,
     SigmaDecay,
     TrainConfig,
@@ -251,6 +252,8 @@ def parse_config(path: str) -> ExperimentConfig:
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"[DEFAULT] is not supported; set {sorted(parser.defaults())} per section")
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -280,6 +283,8 @@ def parse_config(path: str) -> ExperimentConfig:
     train_cfg = _build("train", TrainConfig, policy=policy, sampler=sampler,
                        sigma_decay=_build("train", SigmaDecay, **decay), **options)
     out_dir = _section(parser, "output", ("dir",))["dir"]
+    if not out_dir:  # Path("") would be the current directory
+        raise ConfigError("[output] dir is empty")
     return ExperimentConfig(raw, dataset, train_cfg, out_dir)
 
 
@@ -310,11 +315,8 @@ def cmd_train(args: argparse.Namespace) -> None:
     # snapshot before training: a crashed run still records what it was
     (out / "config.ini").write_bytes(cfg.raw)
     model, log = train(train_set, tcfg)
-    _write_csv(
-        out / "epoch_log.csv",
-        ["epoch", "mean_loss", "top1_error", "lr", "sigma"],
-        [[s.epoch, s.mean_loss, s.top1_error, s.lr, s.sigma] for s in log],
-    )
+    _write_csv(out / "epoch_log.csv", [f.name for f in fields(EpochStats)],
+               [astuple(s) for s in log])
     records = evaluate(model, test_set)
     err = top1_error(records)
     report = ece(records)

@@ -22,10 +22,11 @@ if TYPE_CHECKING:
 class CropWindow:
     """Axis-aligned crop rectangle in pixel coordinates.
 
-    ``tx`` and ``ty`` locate the top-left corner along the first and
-    second spatial axes; ``w`` and ``h`` are the side lengths. The
-    window may extend past the image bounds (out-of-bounds area reads
-    as padding), but must have positive size.
+    ``(tx, w)`` pair with the ``width`` argument of :func:`visibility`,
+    :func:`crop_visibility` and the samplers, ``(ty, h)`` with ``height``;
+    :func:`pad_and_crop`, which takes square images only, shifts rows by
+    ``tx``. The window may extend past the image bounds (out-of-bounds
+    area reads as padding), but must have positive size.
     """
 
     tx: int
@@ -45,24 +46,24 @@ class CropWindow:
 def pad_and_crop(image: np.ndarray, window: CropWindow) -> np.ndarray:
     """Translate ``image`` by the window offset over a zero canvas.
 
-    The window must have the same size as the image and an offset no
-    larger than the image in either axis. Output pixel (c, i, j) equals
+    The image must be square, the window the same size, and the offset
+    no larger than the edge in either axis. Output pixel (c, i, j) equals
     input pixel (c, i + tx, j + ty) where that index is in bounds and
     zero elsewhere, which is exactly a crop of the zero-padded image.
     """
     if image.ndim != 3:
         raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
-    _, h, w = image.shape
-    if (window.w, window.h) != (w, h):
-        raise ValueError(
-            f"window size {window.w}x{window.h} must match image size {w}x{h}"
-        )
+    _, h, e = image.shape
+    if h != e:
+        raise ValueError(f"pad_and_crop expects a square image, got {h}x{e}")
+    if (window.w, window.h) != (e, e):
+        raise ValueError(f"window size {window.w}x{window.h} must match image size {e}x{e}")
     tx, ty = window.tx, window.ty
-    if abs(tx) > h or abs(ty) > w:
-        raise ValueError(f"offset ({tx}, {ty}) exceeds image size {h}x{w}")
+    if max(abs(tx), abs(ty)) > e:
+        raise ValueError(f"offset ({tx}, {ty}) exceeds image size {e}x{e}")
     out = np.zeros_like(image)
-    i0, i1 = max(0, -tx), min(h, h - tx)
-    j0, j1 = max(0, -ty), min(w, w - ty)
+    i0, i1 = max(0, -tx), min(e, e - tx)
+    j0, j1 = max(0, -ty), min(e, e - ty)
     if i0 < i1 and j0 < j1:
         out[:, i0:i1, j0:j1] = image[:, i0 + tx : i1 + tx, j0 + ty : j1 + ty]
     return out

@@ -20,13 +20,17 @@ floating point, and the gradient is always w * (softmax - target).
 
 :func:`loss_and_grad` is the one implementation; the trainer calls it
 on whole batches and the per-sample functions are one-row views of it.
+It and ``model.check_trainable`` read the table from ``_MODE_TABLE``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MODES = ("hard", "target", "weight", "target_and_weight")
+# mode -> (soft target, p-weighted): the table above, stated once
+_MODE_TABLE = {"hard": (False, False), "target": (True, False),
+               "weight": (False, True), "target_and_weight": (True, True)}
+MODES = tuple(_MODE_TABLE)
 
 
 def canonical_mode(mode: str) -> str:
@@ -84,8 +88,8 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, ps: np.ndarray,
     """Mean weighted KL loss of a batch and its gradient in the logits.
 
     ``logits`` is (B, N); row i has true class ``labels[i]`` and
-    confidence ``ps[i]``. Soft targets ("target", "target_and_weight")
-    need every p in [1/N, 1], the one-hot modes any p in [0, 1]. Row i
+    confidence ``ps[i]``. The soft-target modes need every p in
+    [1/N, 1], the one-hot modes any p in [0, 1]. Row i
     of the returned (B, N) gradient is w_i * (softmax - target_i) / B.
     Zero target entries contribute exactly zero (0 * log 0 == 0), so
     hard mode reduces to -log softmax(logits)[true_class]. Non-finite
@@ -97,13 +101,11 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, ps: np.ndarray,
     b, num_classes = logits.shape
     if b == 0:
         raise ValueError("cannot average a loss over an empty batch")
-    if mode in ("hard", "weight"):
-        if not ((ps >= 0.0) & (ps <= 1.0)).all():
-            raise ValueError("confidence outside [0, 1]")
-        targets = _soft_targets(labels, np.ones(b), num_classes)
-    else:
-        targets = _soft_targets(labels, ps, num_classes)
-    weights = np.ones(b) if mode in ("hard", "target") else ps
+    soft_target, p_weighted = _MODE_TABLE[mode]
+    if not (soft_target or ((ps >= 0.0) & (ps <= 1.0)).all()):
+        raise ValueError("confidence outside [0, 1]")
+    targets = _soft_targets(labels, ps if soft_target else np.ones(b), num_classes)
+    weights = ps if p_weighted else np.ones(b)
     log_q = _log_softmax(logits)
     q = np.exp(log_q)
     mask = targets > 0

@@ -5,7 +5,9 @@ output; forward, backward, and the optimizer are plain numpy so every
 gradient can be checked against finite differences. The trainer draws
 each epoch's order, flips and crop windows as arrays, the windows by the
 bulk sampler ``sampler-stats`` uses, from split streams of one root
-RandomSource, so it is bit-reproducible for a fixed seed.
+RandomSource, so it is bit-reproducible for a fixed seed. Backprop
+takes its ReLU masks from the stored activations, and SGD steps one
+list of parameter arrays, weights then biases, one velocity each.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import CropWindow, _covered_fraction, pad_and_crop
-from .loss import loss_and_grad
+from .loss import _MODE_TABLE, loss_and_grad
 from .sampling import (
     GaussianCropConfig,
     RandomSource,
@@ -107,20 +109,16 @@ def forward_batch(model: MlpClassifier, inputs: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(model: MlpClassifier, x: np.ndarray):
-    """Returns (logits (B, N), activations, pre_activations) for backprop.
+    """Returns (logits (B, N), activations) for backprop.
 
-    ``activations[l]`` is the input to layer l; ``pre_activations[l]``
-    is its affine output before ReLU (the last layer applies none).
+    ``activations[l]`` is the input to layer l: ``x`` for layer 0, the
+    ReLU output of layer l - 1 after it (the last layer applies none).
     """
     activations = [x]
-    pre_activations = []
-    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = x @ w.T + b
-        pre_activations.append(z)
-        x = np.maximum(z, 0.0) if layer < model.num_layers - 1 else z
-        if layer < model.num_layers - 1:
-            activations.append(x)
-    return pre_activations[-1], activations, pre_activations
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        x = np.maximum(x @ w.T + b, 0.0)
+        activations.append(x)
+    return x @ model.weights[-1].T + model.biases[-1], activations
 
 
 def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarray,
@@ -129,9 +127,10 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
 
     Returns (loss, weight_grads, bias_grads, logits). The logit gradient
     comes from :func:`loss_and_grad`; all deeper gradients follow by the
-    chain rule through ReLU masks.
+    chain rule through ReLU masks, read off the activations: a ReLU
+    output is > 0 exactly where its input is.
     """
-    logits, activations, pre_activations = _forward_batch(model, x)
+    logits, activations = _forward_batch(model, x)
     loss, delta = loss_and_grad(logits, true_classes, ps, mode)
     weight_grads = [np.empty(0)] * model.num_layers
     bias_grads = [np.empty(0)] * model.num_layers
@@ -139,7 +138,7 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
         weight_grads[layer] = delta.T @ activations[layer]
         bias_grads[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * (pre_activations[layer - 1] > 0)
+            delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
     return loss, weight_grads, bias_grads, logits
 
 
@@ -236,9 +235,9 @@ def check_trainable(cfg: TrainConfig, num_classes: int, edge: int) -> None:
         raise ValueError(f"sampler length {cfg.sampler.length} != image edge {edge}")
     if isinstance(cfg.sampler, UniformCropConfig) and cfg.sampler.range_r > edge:
         raise ValueError(f"offset range {cfg.sampler.range_r} exceeds image edge {edge}")
-    # the target modes need p >= 1/N; the lowest p either rule gives is at v = 0
+    # soft targets need p >= 1/N; the lowest p either rule gives is at v = 0
     mode, lowest = cfg.policy.mode, soften(0.0, cfg.policy)
-    if mode in ("target", "target_and_weight") and lowest < 1.0 / num_classes:
+    if _MODE_TABLE[mode][0] and lowest < 1.0 / num_classes:
         raise ValueError(f"mode {mode} needs every confidence >= chance 1/{num_classes}, "
                          f"but the policy gives {lowest:g} at v = 0")
 
@@ -296,8 +295,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     :class:`NonFiniteLossError` before any update if one is not
     finite. The step then runs in place, row block by row block (see
     :func:`_sgd_step`), and is bit-identical to the reference formula
-    ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v``; biases
-    take the same step without the decay.
+    ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v`` for every
+    weight and bias array in one loop, with a decay of 0 for the biases.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -308,8 +307,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     layer_sizes = (c * h * w, *cfg.hidden_sizes, dataset.num_classes)
     root = RandomSource(cfg.seed)
     model = init_mlp(layer_sizes, root.split(0))
-    velocity_w = [np.zeros_like(wt) for wt in model.weights]
-    velocity_b = [np.zeros_like(bs) for bs in model.biases]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(param) for param in params]
+    decays = [cfg.weight_decay] * model.num_layers + [0.0] * model.num_layers
     mode = cfg.policy.mode
 
     stats: list[EpochStats] = []
@@ -338,15 +338,13 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             # a blow-up surfaces as NonFiniteLossError below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grad_w, grad_b, logits = _backward_batch(model, batch, labels, ps, mode)
-            if not (math.isfinite(loss) and all(map(_all_finite, grad_w + grad_b))):
+            grads = grad_w + grad_b
+            if not (math.isfinite(loss) and all(map(_all_finite, grads))):
                 raise NonFiniteLossError(epoch, batch_index, lr)
             wrong += int((logits.argmax(axis=1) != labels).sum())
             loss_sum += loss * idx.size
-            for layer in range(model.num_layers):
-                _sgd_step(model.weights[layer], velocity_w[layer], grad_w[layer],
-                          lr, cfg.momentum, cfg.weight_decay)
-                _sgd_step(model.biases[layer], velocity_b[layer], grad_b[layer],
-                          lr, cfg.momentum, 0.0)
+            for param, vel, grad, decay in zip(params, velocity, grads, decays):
+                _sgd_step(param, vel, grad, lr, cfg.momentum, decay)
         stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))
     return model, stats
 

@@ -356,15 +356,20 @@ def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     assert "[train] lr0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rewrite, code, written", [
+@pytest.mark.parametrize("rewrite, code, expected", [
     (lambda text, run: text.replace(f"= {run}", f"= {run}/runs/100%"), 0, "runs/100%"),
     (lambda text, run: text.replace(f"= {run}", f"= {run}/%(seed)s"), 0, "%(seed)s"),
-    (lambda text, _run: "[DEFAULT]\nseed = 3\n" + text, 2, None),
-    (lambda text, _run: text.replace("k = 2", "k = 2\nk = 3"), 2, None),
-    (lambda text, _run: text.replace("k = 2", "k = 2 ; \udcff"), 2, None),
-], ids=["percent", "percent-placeholder", "default-section", "duplicate-key", "non-utf8"])
-def test_hostile_ini_text_exits_cleanly(rewrite, code, written, cfg_path, tmp_path, capsys):
+    (lambda text, _run: "[DEFAULT]\nseed = 3\n" + text, 2,
+     "error: [DEFAULT] is not supported; set ['seed'] per section\n"),
+    (lambda text, _run: text.replace("k = 2", "k = 2\nk = 3"), 2, "error:"),
+    (lambda text, _run: text.replace("k = 2", "k = 2 ; \udcff"), 2, "error:"),
+    (lambda text, run: text.replace(f"= {run}", "="), 2, "error: [output] dir is empty\n"),
+], ids=["percent", "percent-placeholder", "default-section", "duplicate-key", "non-utf8",
+        "empty-dir"])
+def test_hostile_ini_text_exits_cleanly(rewrite, code, expected, cfg_path, tmp_path, capsys,
+                                        monkeypatch):
     # values are read literally: a % is neither an escape nor a reference
+    monkeypatch.chdir(tmp_path)
     path = Path(cfg_path())
     text = rewrite(path.read_text(), tmp_path / "run")
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -372,9 +377,11 @@ def test_hostile_ini_text_exits_cleanly(rewrite, code, written, cfg_path, tmp_pa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
-        assert err.startswith("error:")
+        assert err.startswith(expected)
+        # rejected before any write, also into the current directory
+        assert list(tmp_path.iterdir()) == [path]
     else:
-        assert (tmp_path / "run" / written / "curve.csv").is_file()
+        assert (tmp_path / "run" / expected / "curve.csv").is_file()
 
 
 def test_train_exit_2_on_missing_config(capsys):

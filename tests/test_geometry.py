@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softaug import CropWindow, RandomSource, iou, occlude, pad_and_crop, visibility
 from softaug.geometry import crop_visibility
@@ -46,11 +47,14 @@ def test_pad_and_crop_full_shift_blanks():
 
 def test_pad_and_crop_zero_offset_identity():
     rng = np.random.default_rng(0)
-    image = rng.random((3, 5, 7))
-    out = pad_and_crop(image, CropWindow(0, 0, 7, 5))
+    image = rng.random((3, 6, 6))
+    out = pad_and_crop(image, CropWindow(0, 0, 6, 6))
     assert np.array_equal(out, image)
     out[0, 0, 0] = -1.0
     assert image[0, 0, 0] != -1.0  # copy, not a view
+    # a non-square image is refused even at zero offset
+    with pytest.raises(ValueError, match="square"):
+        pad_and_crop(rng.random((3, 5, 7)), CropWindow(0, 0, 7, 5))
 
 
 def test_pad_and_crop_matches_reference():
@@ -63,13 +67,33 @@ def test_pad_and_crop_matches_reference():
 
 
 def test_pad_and_crop_rectangular_axes():
-    # tx moves along the first spatial axis (height), ty along the second
-    rng = np.random.default_rng(2)
-    image = rng.random((2, 4, 6))
-    for tx in (-3, 0, 2):
-        for ty in (-5, 1, 4):
-            got = pad_and_crop(image, CropWindow(tx, ty, 6, 4))
-            assert np.array_equal(got, reference_pad_and_crop(image, tx, ty))
+    # tx pairs with the width in visibility but shifts rows here, so a
+    # non-square image would keep a different fraction than visibility says
+    ones = np.ones((1, 4, 8))
+    for window in (CropWindow(2, 0, 8, 4), CropWindow(0, 0, 8, 4), CropWindow(0, 0, 4, 8)):
+        with pytest.raises(ValueError, match="square"):
+            pad_and_crop(ones, window)
+
+
+@st.composite
+def square_crops(draw):
+    """A (C, e, e) image of random pixels and an offset (tx, ty) within the edge."""
+    edge = draw(st.integers(1, 9))
+    shape = (draw(st.integers(1, 3)), edge, edge)
+    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    return image, draw(st.integers(-edge, edge)), draw(st.integers(-edge, edge))
+
+
+# derandomized and bounded, so every run checks the same examples
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(square_crops())
+def test_pad_and_crop_properties(crop):
+    image, tx, ty = crop
+    edge = image.shape[1]
+    window = CropWindow(tx, ty, edge, edge)
+    assert np.array_equal(pad_and_crop(image, window), reference_pad_and_crop(image, tx, ty))
+    kept = np.count_nonzero(pad_and_crop(np.ones_like(image), window)) / image.size
+    assert kept == visibility(tx, ty, edge, edge)
 
 
 def test_pad_and_crop_rejects_bad_window():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softaug import SofteningPolicy, soften, ssl_pair_confidence
 from softaug.sslweights import normalize_batch_weights
@@ -65,6 +66,16 @@ def test_soften_range_and_monotone():
         ps = [soften(float(v), policy) for v in vs]
         assert all(p_min <= p <= 1.0 for p in ps)
         assert all(a <= b + 1e-15 for a, b in zip(ps, ps[1:]))
+
+
+# derandomized and bounded, so every run checks the same examples
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 64.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_soften_bounded_and_monotone_property(p_min, k, v1, v2):
+    policy = SofteningPolicy(p_min, k)
+    low, high = sorted((v1, v2))
+    assert p_min <= soften(low, policy) <= soften(high, policy) <= 1.0
 
 
 def test_soften_rejects_out_of_range():
