@@ -13,8 +13,8 @@ from .softening import SofteningPolicy, soften
 from .loss import MODES, loss_and_grad, make_soft_target, soft_loss, soft_loss_grad
 from .data import (LabeledDataset, NormalizationStats, ParseError, compute_stats, normalize,
                    synth_shapes)
-from .model import (CheckpointError, EpochStats, MlpClassifier, NonFiniteLossError, SigmaDecay,
-                    TrainConfig, train)
+from .model import (CheckpointError, EpochStats, MlpClassifier, NonFiniteLossError, TrainConfig,
+                    train)
 from .metrics import (CalibrationReport, PredictionRecord, ece, evaluate, occlusion_sweep,
                       top1_error)
 from .sslweights import CropPair, pair_weights, ssl_pair_confidence
@@ -30,8 +30,8 @@ __all__ = [
     "MODES", "loss_and_grad", "make_soft_target", "soft_loss", "soft_loss_grad",
     "LabeledDataset", "NormalizationStats", "ParseError", "compute_stats", "normalize",
     "synth_shapes",
-    "CheckpointError", "EpochStats", "MlpClassifier", "NonFiniteLossError", "SigmaDecay",
-    "TrainConfig", "train",
+    "CheckpointError", "EpochStats", "MlpClassifier", "NonFiniteLossError", "TrainConfig",
+    "train",
     "CalibrationReport", "PredictionRecord", "ece", "evaluate", "occlusion_sweep",
     "top1_error",
     "CropPair", "pair_weights", "ssl_pair_confidence",

@@ -56,7 +56,6 @@ from .model import (
     CheckpointError,
     EpochStats,
     NonFiniteLossError,
-    SigmaDecay,
     TrainConfig,
     check_trainable,
     load_checkpoint,
@@ -69,6 +68,7 @@ from .sampling import (
     ResizeCropConfig,
     StandardCropConfig,
     UniformCropConfig,
+    _SAME_SIZE,
     _windows,
 )
 from .softening import SofteningPolicy, soften
@@ -97,13 +97,13 @@ _SOURCES = {
     "cifar100": ({"train_path", "test_path"}, {"num_classes"}),
 }
 
-# [sampler] kind -> (required keys, optional keys)
-_KIND_KEYS = {
-    "gaussian": ({"sigma"}, {"length"}),
-    "uniform": ({"range"}, {"length"}),
-    "resize_crop": ({"sigma", "min_length"}, {"width", "height"}),
+# [sampler] kind -> (required keys, optional keys, config class): the one list of kinds
+_KINDS = {
+    "gaussian": ({"sigma"}, {"length"}, GaussianCropConfig),
+    "uniform": ({"range"}, {"length"}, UniformCropConfig),
+    "resize_crop": ({"sigma", "min_length"}, {"width", "height"}, ResizeCropConfig),
     "standard": (set(), {"width", "height", "scale_min", "scale_max",
-                         "ratio_min", "ratio_max"}),
+                         "ratio_min", "ratio_max"}, StandardCropConfig),
 }
 
 
@@ -163,11 +163,11 @@ def _section(parser: configparser.ConfigParser, name: str, required: tuple = ())
 
 def _choose(values: dict, section: str, selector: str, choices: dict) -> str:
     """Pop ``selector`` from ``values`` and check the keys left against
-    that choice's (required, optional) sets; returns the choice."""
+    the (required, optional) sets its row starts with; returns the choice."""
     choice = values.pop(selector)
     if choice not in choices:
         raise ConfigError(f"[{section}] {selector} must be one of {tuple(choices)}, got {choice!r}")
-    required, optional = choices[choice]
+    required, optional = choices[choice][:2]
     for key in values:
         if key not in required | optional:
             raise ConfigError(f"[{section}] {key} does not apply to {selector}={choice}")
@@ -220,19 +220,18 @@ def _parse_dataset(parser: configparser.ConfigParser) -> DatasetSpec:
 
 def _parse_sampler(parser: configparser.ConfigParser):
     values = _section(parser, "sampler", ("kind",))
-    kind = _choose(values, "sampler", "kind", _KIND_KEYS)
-    if kind in ("gaussian", "uniform"):
+    config = _KINDS[_choose(values, "sampler", "kind", _KINDS)][2]
+    if config in _SAME_SIZE:
         # every source renders IMAGE_EDGE-px images
         length = values.pop("length", IMAGE_EDGE)
         if length != IMAGE_EDGE:
             raise ConfigError(f"[sampler] length {length} != image edge {IMAGE_EDGE}")
-        if kind == "gaussian":
-            return _build("sampler", GaussianCropConfig, values["sigma"], IMAGE_EDGE)
+        if config is GaussianCropConfig:
+            return _build("sampler", config, values["sigma"], IMAGE_EDGE)
         range_r = values["range"]
         if range_r > IMAGE_EDGE:
             raise ConfigError(f"[sampler] range {range_r} exceeds image edge {IMAGE_EDGE}")
-        return _build("sampler", UniformCropConfig, range_r)
-    config = ResizeCropConfig if kind == "resize_crop" else StandardCropConfig
+        return _build("sampler", config, range_r)
     return _build("sampler", config, **{"width": 224, "height": 224, **values})
 
 
@@ -276,12 +275,9 @@ def parse_config(path: str) -> ExperimentConfig:
         )
     policy = _build("softening", SofteningPolicy, p_min=chance, **softening)
     options = _section(parser, "train", ("epochs", "batch_size", "lr0"))
-    decay = {key.removeprefix("sigma_decay_"): options.pop(key)
-             for key in list(options) if key.startswith("sigma_decay_")}
     if "hidden" in options:
         options["hidden_sizes"] = _parse_list(options.pop("hidden"), int, "[train] hidden")
-    train_cfg = _build("train", TrainConfig, policy=policy, sampler=sampler,
-                       sigma_decay=_build("train", SigmaDecay, **decay), **options)
+    train_cfg = _build("train", TrainConfig, policy=policy, sampler=sampler, **options)
     out_dir = _section(parser, "output", ("dir",))["dir"]
     if not out_dir:  # Path("") would be the current directory
         raise ConfigError("[output] dir is empty")
@@ -388,11 +384,10 @@ def _visibility_rows(vs: np.ndarray) -> list[list]:
 
 
 def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
-    kind = {GaussianCropConfig: "gaussian", UniformCropConfig: "uniform",
-            ResizeCropConfig: "resize_crop", StandardCropConfig: "standard"}[type(sampler)]
+    kind = next(kind for kind, row in _KINDS.items() if row[2] is type(sampler))
     windows = _windows(sampler, draws, IMAGE_EDGE, RandomSource(seed).generator)
     rows: list[list] = [["kind", kind], ["draws", draws]]
-    if kind in ("gaussian", "uniform"):
+    if isinstance(sampler, _SAME_SIZE):
         width = height = IMAGE_EDGE
         # tx, ty, tx, ty, ...: the order of the draws, which the sums follow
         offsets = windows[:, :2].astype(float).reshape(-1)
@@ -449,7 +444,8 @@ def _worker_pool(workers: int):
 
     # a private API (checked on 3.11): where it is missing, nothing is stopped
     tracker = getattr(resource_tracker, "_resource_tracker", None)
-    owns_tracker = getattr(tracker, "_pid", 0) is None
+    # a spawned process shares its parent's running tracker: _fd set, _pid None
+    owns_tracker = getattr(tracker, "_fd", 0) is None
     pin = not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     if pin:

@@ -26,6 +26,7 @@ from .sampling import (
     ResizeCropConfig,
     StandardCropConfig,
     UniformCropConfig,
+    _SAME_SIZE,
     _windows,
 )
 from .softening import SofteningPolicy, soften
@@ -151,20 +152,6 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-@dataclass(frozen=True)
-class SigmaDecay:
-    """Shrink the crop sigma by ``factor`` for the last ``final_epochs`` (none by default)."""
-
-    final_epochs: int = 0
-    factor: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.final_epochs < 0:
-            raise ValueError(f"sigma decay final_epochs must be >= 0, got {self.final_epochs}")
-        if not 1.0 <= self.factor < math.inf:
-            raise ValueError(f"sigma decay factor must be finite and >= 1, got {self.factor}")
-
-
 @dataclass
 class TrainConfig:
     epochs: int
@@ -177,7 +164,9 @@ class TrainConfig:
     weight_decay: float = 5e-4
     seed: int = 0
     hidden_sizes: tuple[int, ...] = (256,)
-    sigma_decay: SigmaDecay = SigmaDecay()
+    # shrink the gaussian crop sigma by the factor for the final epochs (none by default)
+    sigma_decay_final_epochs: int = 0
+    sigma_decay_factor: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -195,7 +184,13 @@ class TrainConfig:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        if self.sigma_decay.final_epochs > 0 and not isinstance(self.sampler, GaussianCropConfig):
+        if self.sigma_decay_final_epochs < 0:
+            raise ValueError("sigma decay final_epochs must be >= 0, "
+                             f"got {self.sigma_decay_final_epochs}")
+        if not 1.0 <= self.sigma_decay_factor < math.inf:
+            raise ValueError("sigma decay factor must be finite and >= 1, "
+                             f"got {self.sigma_decay_factor}")
+        if self.sigma_decay_final_epochs > 0 and not isinstance(self.sampler, GaussianCropConfig):
             raise ValueError("sigma decay needs a gaussian sampler, got "
                              f"{type(self.sampler).__name__}")
 
@@ -217,8 +212,8 @@ def effective_sigma(epoch: int, cfg: TrainConfig) -> float:
     the decay factor inside the final window. 0 for non-Gaussian samplers."""
     if not isinstance(cfg.sampler, GaussianCropConfig):
         return 0.0
-    if epoch >= cfg.epochs - cfg.sigma_decay.final_epochs:
-        return cfg.sampler.sigma / cfg.sigma_decay.factor
+    if epoch >= cfg.epochs - cfg.sigma_decay_final_epochs:
+        return cfg.sampler.sigma / cfg.sigma_decay_factor
     return cfg.sampler.sigma
 
 
@@ -226,7 +221,7 @@ def check_trainable(cfg: TrainConfig, num_classes: int, edge: int) -> None:
     """Raise ValueError unless :func:`train` can run ``cfg`` on square
     ``edge``-px images of ``num_classes`` classes: a same-size crop
     sampler that fits the edge, and soft targets no lower than chance."""
-    if not isinstance(cfg.sampler, (GaussianCropConfig, UniformCropConfig)):
+    if not isinstance(cfg.sampler, _SAME_SIZE):
         raise ValueError(
             "resize-crop sampling needs sub-pixel resampling, which this "
             "integer-geometry trainer does not do; use gaussian or uniform"
@@ -311,6 +306,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     velocity = [np.zeros_like(param) for param in params]
     decays = [cfg.weight_decay] * model.num_layers + [0.0] * model.num_layers
     mode = cfg.policy.mode
+    uses_p = any(_MODE_TABLE[mode])
 
     stats: list[EpochStats] = []
     for epoch in range(cfg.epochs):
@@ -324,7 +320,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
         flips = (generator.random(n) < 0.5).tolist()
         windows = _windows(sampler, n, h, generator)
         vis = _covered_fraction(*windows.T, w, h).tolist()
-        epoch_ps = np.array([1.0 if mode == "hard" else soften(v, cfg.policy) for v in vis])
+        epoch_ps = np.array([soften(v, cfg.policy) if uses_p else 1.0 for v in vis])
         loss_sum = 0.0
         wrong = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):

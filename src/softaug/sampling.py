@@ -142,6 +142,10 @@ class StandardCropConfig:
             )
 
 
+# the kinds whose crops keep the image size, the only ones train() takes
+_SAME_SIZE = (GaussianCropConfig, UniformCropConfig)
+
+
 def draw_offset(limit: float, sigma_abs: float, rng: RandomSource) -> int:
     """Gaussian integer offset with magnitude at most ``limit``.
 

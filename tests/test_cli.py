@@ -1,17 +1,21 @@
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
+import io
 import multiprocessing
 import os
 import sys
+import tempfile
 import types
 from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from softaug import GaussianCropConfig, SigmaDecay, StandardCropConfig, cli
+from softaug import GaussianCropConfig, StandardCropConfig, cli
 from softaug.cli import ConfigError, main, parse_config
 
 BASE = {
@@ -67,7 +71,7 @@ def test_parse_config_happy_path(cfg_path):
     assert cfg.train.hidden_sizes == (8,)
     # keys the INI leaves out take the dataclass defaults
     assert cfg.train.momentum == 0.9
-    assert cfg.train.sigma_decay == SigmaDecay(0, 1000.0)
+    assert (cfg.train.sigma_decay_final_epochs, cfg.train.sigma_decay_factor) == (0, 1000.0)
     assert cfg.train.policy.alpha is None
     assert cfg.raw == open(path, "rb").read()
 
@@ -384,6 +388,60 @@ def test_hostile_ini_text_exits_cleanly(rewrite, code, expected, cfg_path, tmp_p
         assert (tmp_path / "run" / expected / "curve.csv").is_file()
 
 
+# one valid [sampler] section per kind, for the fuzzer to start from
+_VALID_SAMPLERS = {
+    "gaussian": {"sigma": 0.3},
+    "uniform": {"range": 4},
+    "resize_crop": {"sigma": 0.3, "min_length": 8, "width": 32, "height": 32},
+    "standard": {"width": 32, "height": 32},
+}
+_HOSTILE_VALUES = st.sampled_from([
+    "", " ", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1", "2",
+    "0.5", "1", str(2**63), str(-2**63 - 1), str(10**30), "%", "%(seed)s", "100%", "a,b",
+    ",", "8, 8", "none", "hard", *cli._SOURCES, *cli._KINDS,
+]) | st.integers(-2**70, 2**70).map(str) | st.floats().map(repr)
+
+
+@st.composite
+def ini_texts(draw):
+    """A config that starts valid and then gets up to four hostile edits:
+    a value set, a key dropped or an unknown key added, then perhaps a
+    key repeated."""
+    sections = {name: dict(keys) for name, keys in BASE.items()}
+    sections["output"]["dir"] = "fuzz-out"
+    kind = draw(st.sampled_from(sorted(_VALID_SAMPLERS)))
+    sections["sampler"] = {"kind": kind, **_VALID_SAMPLERS[kind]}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(cli._KEYS)))
+        key = draw(st.sampled_from(sorted(cli._KEYS[name]) + ["unknown"]))
+        if draw(st.booleans()):
+            sections[name][key] = draw(_HOSTILE_VALUES)
+        else:
+            sections[name].pop(key, None)
+    lines = []
+    for name, keys in sections.items():
+        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in keys.items()), ""]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150)
+@given(ini_texts())
+def test_fuzzed_ini_text_exits_cleanly(text):
+    # every path the commands write is under --out: the fuzzed [output]
+    # dir and dataset paths are parsed but never opened
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text)
+        for command in (["curve", "--points", "2"], ["sampler-stats", "--draws", "10"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 2), (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+
 def test_train_exit_2_on_missing_config(capsys):
     assert main(["train", "--config", "/nonexistent/exp.ini"]) == 2
 
@@ -605,15 +663,18 @@ def test_sampler_stats_exit_2_on_draws_too_large_to_hold(sampler, cfg_path, tmp_
 
 
 # sha256 of sampler_stats.csv at the default 100k draws, seed 1, for the
-# samplers of configs/soft_synth.ini, configs/hard_synth.ini and
-# bench/configs/resize_crop_synth.ini, pinned from the scalar draw loop
-# that the array path replaced
+# samplers of configs/soft_synth.ini, configs/hard_synth.ini,
+# bench/configs/resize_crop_synth.ini and bench/configs/standard_synth.ini,
+# pinned from the scalar draw loop that the array path replaced; standard
+# still draws window by window, and its digest pins that stream
 STATS_100K = {
     "gaussian": ({}, "d33dea75c1ac433277161fdd0ae157a66a80c61cbdc3e0c82189cd4159b05ef9"),
     "uniform": ({"kind": "uniform", "sigma": None, "range": 16},
                 "073674b1edd63fedd9c19a242503f1cb9f8985c9fab4d0419ad3d3ab7d473a41"),
     "resize_crop": ({**_RESIZE, "min_length": 8, "sigma": 0.3},
                     "f565a896848fa9ec36f4b49048c7fb5ed8d7aa3075aee2642bf46eb3329fb9db"),
+    "standard": ({**_STANDARD, "width": 32, "height": 32},
+                 "b44cdbb4340fa81b667721131d7869517681782dca108b40b8e6f3cd45978686"),
 }
 
 
@@ -791,6 +852,28 @@ def test_compare_without_private_tracker_stop(tmp_path, monkeypatch):
     compare_digest(tmp_path, 1)
     # the tracker that compare could not stop is stopped here
     monkeypatch.undo()
+    resource_tracker._resource_tracker._stop()
+    no_process_left()
+
+
+def compare_in_this_process(argv):
+    """A spawned process's target: exit with ``main(argv)``'s code."""
+    sys.exit(main(argv))
+
+
+def test_compare_in_a_spawned_process(tmp_path):
+    # the child shares this process's resource tracker, which it must not stop
+    arm = write_config(tmp_path / "arm.ini", tmp_path / "out", train={"epochs": 1})
+    out = tmp_path / "cmp"
+    child = multiprocessing.get_context("spawn").Process(
+        target=compare_in_this_process,
+        args=(["compare", "--config-a", arm, "--config-b", arm, "--seeds", "1",
+               "--out", str(out)],))
+    child.start()
+    child.join(timeout=300)
+    assert child.exitcode == 0
+    assert (out / "compare.csv").is_file()
+    # the tracker this test's spawn started
     resource_tracker._resource_tracker._stop()
     no_process_left()
 

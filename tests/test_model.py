@@ -14,7 +14,6 @@ from softaug import (
     NonFiniteLossError,
     RandomSource,
     ResizeCropConfig,
-    SigmaDecay,
     SofteningPolicy,
     StandardCropConfig,
     TrainConfig,
@@ -257,7 +256,7 @@ def test_cosine_lr_values():
 
 
 def test_effective_sigma_window():
-    cfg = small_train_config(epochs=500, sigma_decay=SigmaDecay(final_epochs=20, factor=1000.0))
+    cfg = small_train_config(epochs=500, sigma_decay_final_epochs=20, sigma_decay_factor=1000.0)
     assert effective_sigma(490, cfg) == pytest.approx(0.0003, abs=1e-15)
     assert effective_sigma(479, cfg) == 0.3
     assert effective_sigma(480, cfg) == pytest.approx(0.0003, abs=1e-15)
@@ -268,12 +267,12 @@ def test_effective_sigma_window():
 
 
 def test_sigma_decay_validates():
-    with pytest.raises(ValueError):
-        SigmaDecay(final_epochs=-1, factor=1000.0)
-    with pytest.raises(ValueError):
-        SigmaDecay(final_epochs=10, factor=0.5)
-    with pytest.raises(ValueError):
-        SigmaDecay(final_epochs=10, factor=math.inf)
+    with pytest.raises(ValueError, match="sigma decay final_epochs must be >= 0, got -1"):
+        small_train_config(sigma_decay_final_epochs=-1, sigma_decay_factor=1000.0)
+    with pytest.raises(ValueError, match="sigma decay factor must be finite and >= 1, got 0.5"):
+        small_train_config(sigma_decay_final_epochs=10, sigma_decay_factor=0.5)
+    with pytest.raises(ValueError, match="sigma decay factor must be finite and >= 1, got inf"):
+        small_train_config(sigma_decay_final_epochs=10, sigma_decay_factor=math.inf)
 
 
 # --- train config ---
@@ -298,8 +297,8 @@ def test_train_config_validation():
     # sigma decay shrinks a gaussian sigma; other samplers have none to shrink
     with pytest.raises(ValueError, match="gaussian"):
         small_train_config(sampler=UniformCropConfig(range_r=4),
-                           sigma_decay=SigmaDecay(final_epochs=1))
-    small_train_config(sampler=UniformCropConfig(range_r=4), sigma_decay=SigmaDecay(factor=2.0))
+                           sigma_decay_final_epochs=1)
+    small_train_config(sampler=UniformCropConfig(range_r=4), sigma_decay_factor=2.0)
 
 
 # --- training loop ---
@@ -397,7 +396,7 @@ def scalar_epoch_batches(ds, cfg, epoch):
     dict(mode="none", sampler=UniformCropConfig(range_r=8)),
     # sigma 0.6 rejects about 1 normal in 10, so the bulk scan skips draws
     dict(sampler=GaussianCropConfig(sigma=0.6, length=32)),
-    dict(sampler=GaussianCropConfig(sigma=0.6, length=32), sigma_decay=SigmaDecay(1)),
+    dict(sampler=GaussianCropConfig(sigma=0.6, length=32), sigma_decay_final_epochs=1),
 ], ids=["uniform_none", "gaussian_target_and_weight", "gaussian_sigma_decay"])
 def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
     ds = synth_shapes(3, 4, seed=78)  # 12 images: batches of 5, 5 and 2
@@ -408,8 +407,19 @@ def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
         seen.append((x.copy(), labels.copy(), ps.copy()))
         return _backward_batch(model, x, labels, ps, mode)
 
+    softened = []
+
+    def counting_soften(v, policy):
+        softened.append(v)
+        return soften(v, policy)
+
     monkeypatch.setattr("softaug.model._backward_batch", spy)
+    monkeypatch.setattr("softaug.model.soften", counting_soften)
     train(ds, cfg)
+    # check_trainable's one call at v = 0, then one a sample and epoch in
+    # the modes that read p; the hard arm computes no p
+    hard = cfg.policy.mode == "hard"
+    assert len(softened) == 1 + (0 if hard else cfg.epochs * len(ds))
     expected = [batch for epoch in range(cfg.epochs)
                 for batch in scalar_epoch_batches(ds, cfg, epoch)]
     assert len(seen) == len(expected) == 6
