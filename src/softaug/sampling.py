@@ -8,6 +8,8 @@ streams, so results are reproducible regardless of evaluation order.
 ``_windows`` draws many windows of one sampler as arrays. numpy's bulk
 draws of one distribution equal its repeated scalar draws, so these are
 the ``draw_*`` windows, and the stream ends where those calls leave it.
+A ``standard`` window takes one fixed block of 13 uniforms, turned into
+a window by one rule, ``_standard_windows``, on both paths.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ class ResizeCropConfig:
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        _check_sides(self.width, self.height)
         if not 1 <= self.min_length <= min(self.width, self.height):
             raise ValueError(
                 f"min_length must be in [1, min(width, height)], got {self.min_length}"
@@ -130,8 +133,7 @@ class StandardCropConfig:
     ratio_max: float = 4.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"width and height must be >= 1, got {self.width}x{self.height}")
+        _check_sides(self.width, self.height)
         if not 0 < self.scale_min <= self.scale_max <= 1:
             raise ValueError(
                 f"need 0 < scale_min <= scale_max <= 1, got [{self.scale_min}, {self.scale_max}]"
@@ -140,6 +142,12 @@ class StandardCropConfig:
             raise ValueError(
                 f"need 0 < ratio_min <= ratio_max < inf, got [{self.ratio_min}, {self.ratio_max}]"
             )
+
+
+def _check_sides(width: int, height: int) -> None:
+    # windows are int64, and a covered area of up to side**2 must fit
+    if not (1 <= width <= 2**31 and 1 <= height <= 2**31):
+        raise ValueError(f"width and height must be in [1, 2**31], got {width}x{height}")
 
 
 # the kinds whose crops keep the image size, the only ones train() takes
@@ -228,32 +236,36 @@ def _resize_crop_rule(cfg: ResizeCropConfig, z, minimum, maximum, trunc) -> tupl
 def draw_standard_resize_crop(cfg: StandardCropConfig, rng: RandomSource) -> CropWindow:
     """Conventional area/aspect crop used as the resize-crop baseline.
 
-    The target area is one uniform fraction of the image area per call;
-    up to ten log-uniform aspect draws try to realize that area with
-    rounded sides inside the image. Keeping the area fixed across the
-    retries leaves the accepted crop areas uniform (mean scale stays at
-    (scale_min + scale_max) / 2) instead of biasing them small. If no
-    aspect fits, the largest centered square is returned.
+    One block of 13 uniforms per call: the target area as a uniform
+    fraction of the image area, ten log-uniform aspects that try to
+    realize it with rounded sides inside the image, and the corner.
+    Keeping the area fixed across the tries leaves the accepted crop
+    areas uniform (mean scale stays at (scale_min + scale_max) / 2)
+    instead of biasing them small. The first aspect that fits is taken;
+    if none does, the largest centered square, still after all 13 draws.
     """
-    return CropWindow(*_standard_window(cfg, rng.generator))
+    return CropWindow(*_standard_windows(cfg, 1, rng.generator)[0].tolist())
 
 
-def _standard_window(cfg: StandardCropConfig,
-                     generator: np.random.Generator) -> tuple[int, int, int, int]:
-    """One ``draw_standard_resize_crop`` window as (tx, ty, w, h)."""
+def _standard_windows(cfg: StandardCropConfig, count: int,
+                      generator: np.random.Generator) -> np.ndarray:
+    """``count`` windows of ``draw_standard_resize_crop`` as a (count, 4)
+    int64 array of (tx, ty, w, h), from one (count, 13) block of uniforms."""
+    u = generator.random((count, 13))
     width, height = cfg.width, cfg.height
-    target = generator.uniform(cfg.scale_min, cfg.scale_max) * (width * height)
+    target = (cfg.scale_min + (cfg.scale_max - cfg.scale_min) * u[:, :1]) * (width * height)
     log_ratio_min, log_ratio_max = math.log(cfg.ratio_min), math.log(cfg.ratio_max)
-    for _ in range(10):
-        aspect = math.exp(generator.uniform(log_ratio_min, log_ratio_max))
-        w = int(round(math.sqrt(target * aspect)))
-        h = int(round(math.sqrt(target / aspect)))
-        if 0 < w <= width and 0 < h <= height:
-            tx = int(generator.integers(0, width - w, endpoint=True))
-            ty = int(generator.integers(0, height - h, endpoint=True))
-            return tx, ty, w, h
+    aspect = np.exp(log_ratio_min + (log_ratio_max - log_ratio_min) * u[:, 1:11])
+    ws, hs = np.round(np.sqrt(target * aspect)), np.round(np.sqrt(target / aspect))
+    fits = (ws > 0) & (ws <= width) & (hs > 0) & (hs <= height)
+    rows, first = np.arange(count), fits.argmax(axis=1)
+    fit = fits[rows, first]
     side = min(width, height)
-    return (width - side) // 2, (height - side) // 2, side, side
+    w, h = np.where(fit, ws[rows, first], side), np.where(fit, hs[rows, first], side)
+    # a corner uniform on {0, ..., room}: u < 1 keeps u * (room + 1) below room + 1
+    tx = np.where(fit, np.floor(u[:, 11] * (width - w + 1)), (width - side) // 2)
+    ty = np.where(fit, np.floor(u[:, 12] * (height - h + 1)), (height - side) // 2)
+    return np.stack([tx, ty, w, h], axis=1).astype(np.int64)
 
 
 def _offsets(limit: float, sigma_abs: float, count: int,
@@ -295,9 +307,11 @@ def _windows(sampler, count: int, edge: int, generator: np.random.Generator) -> 
         for column, values in enumerate(rule):
             windows[:, column] = values
     elif isinstance(sampler, StandardCropConfig):
-        # the draw count varies per window and mixes two distributions
-        for i in range(count):
-            windows[i] = _standard_window(sampler, generator)
+        # blocks of whole windows, so the uniforms in flight stay small
+        block = _MAX_BLOCK // 13
+        for start in range(0, count, block):
+            windows[start:start + block] = _standard_windows(
+                sampler, min(block, count - start), generator)
     else:
         if isinstance(sampler, GaussianCropConfig):
             offsets = _offsets(sampler.length, sampler.sigma * sampler.length,

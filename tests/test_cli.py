@@ -273,7 +273,7 @@ GOLDEN_WRITERS = {
     ),
     "stats_standard": (
         {"sampler": _STANDARD}, _STATS, "sampler_stats.csv",
-        "843f079bfad3d203046a93d80a845b5901ddbac8b3aebcdb57e1ebd7a594456d",
+        "8fed8644c8674f27ebcfee67caff45ddc13fcdee02c33e165c3f5363d3f2927d",
     ),
     # on a checkpoint trained from the same config
     "occlusion": (
@@ -664,9 +664,10 @@ def test_sampler_stats_exit_2_on_draws_too_large_to_hold(sampler, cfg_path, tmp_
 
 # sha256 of sampler_stats.csv at the default 100k draws, seed 1, for the
 # samplers of configs/soft_synth.ini, configs/hard_synth.ini,
-# bench/configs/resize_crop_synth.ini and bench/configs/standard_synth.ini,
-# pinned from the scalar draw loop that the array path replaced; standard
-# still draws window by window, and its digest pins that stream
+# bench/configs/resize_crop_synth.ini and bench/configs/standard_synth.ini.
+# gaussian, uniform and resize_crop were pinned from the scalar draw loop
+# that the array path replaced; standard is pinned from its stream of one
+# 13-uniform block per window, which both paths draw through one rule
 STATS_100K = {
     "gaussian": ({}, "d33dea75c1ac433277161fdd0ae157a66a80c61cbdc3e0c82189cd4159b05ef9"),
     "uniform": ({"kind": "uniform", "sigma": None, "range": 16},
@@ -674,7 +675,7 @@ STATS_100K = {
     "resize_crop": ({**_RESIZE, "min_length": 8, "sigma": 0.3},
                     "f565a896848fa9ec36f4b49048c7fb5ed8d7aa3075aee2642bf46eb3329fb9db"),
     "standard": ({**_STANDARD, "width": 32, "height": 32},
-                 "b44cdbb4340fa81b667721131d7869517681782dca108b40b8e6f3cd45978686"),
+                 "90e6374cf148b2401bbfbade200d511df018f61973af09103842fd1048b1ef3a"),
 }
 
 
@@ -692,6 +693,22 @@ def test_sampler_stats_rejects_range_beyond_image(cfg_path, tmp_path, capsys):
     assert main(["sampler-stats", "--config", path, "--draws", "10",
                  "--out", str(tmp_path / "s4")]) == 2
     assert "[sampler] range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sampler", [
+    {**_STANDARD, "width": 2**40, "height": 2**40},
+    {**_RESIZE, "min_length": 8, "width": 2**63},
+], ids=["standard-2^40", "resize_crop-2^63"])
+def test_sampler_stats_rejects_sides_beyond_2_31(sampler, cfg_path, tmp_path, capsys):
+    # windows are int64, and a covered area of side**2 would wrap (2^40:
+    # a negative min_visibility) or overflow (2^63: an OverflowError)
+    out = tmp_path / "big"
+    assert main(["sampler-stats", "--config", cfg_path(sampler=sampler), "--draws", "10",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [sampler] width and height must be in [1, 2**31], got ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --- compare command ---

@@ -1,7 +1,13 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softaug import (
+    CropWindow,
     GaussianCropConfig,
     RandomSource,
     ResizeCropConfig,
@@ -14,6 +20,7 @@ from softaug import (
     visibility,
 )
 from softaug import sampling
+from softaug.geometry import _covered_fraction
 from softaug.sampling import (
     MAX_REJECTIONS,
     _offsets,
@@ -380,3 +387,122 @@ def test_bulk_windows_consume_the_scalar_draws(sampler):
     bulk = RandomSource(32).generator
     assert [tuple(row) for row in _windows(sampler, 700, 32, bulk).tolist()] == expected
     np.testing.assert_equal(bulk.bit_generator.state, scalar.generator.bit_generator.state)
+
+
+@st.composite
+def resize_crop_configs(draw):
+    width, height = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    return ResizeCropConfig(draw(st.floats(0.01, 3.0)), width, height,
+                            draw(st.integers(1, min(width, height))))
+
+
+@st.composite
+def standard_configs(draw):
+    # wide ratio and scale ranges on thin images reach the fallback often
+    scale = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2)))
+    ratio = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2)))
+    return StandardCropConfig(draw(st.integers(1, 48)), draw(st.integers(1, 48)), *scale, *ratio)
+
+
+@settings(max_examples=120)
+@given(sampler=st.one_of(st.builds(GaussianCropConfig, st.floats(0.01, 10.0), st.just(32)),
+                         st.builds(UniformCropConfig, st.integers(0, 32)),
+                         resize_crop_configs(), standard_configs()),
+       count=st.integers(1, 200), cap=st.integers(13, 100), seed=st.integers(0, 2**32))
+def test_bulk_windows_match_scalar_draws_property(sampler, count, cap, seed):
+    # blocks of at most cap draws (cap // 13 standard windows) end
+    # mid-run, so every block edge must carry the stream over exactly
+    scalar = RandomSource(seed)
+    expected = scalar_windows(sampler, count, scalar)
+    bulk = RandomSource(seed).generator
+    with mock.patch.object(sampling, "_MAX_BLOCK", cap):
+        windows = _windows(sampler, count, 32, bulk)
+    assert [tuple(row) for row in windows.tolist()] == expected
+    np.testing.assert_equal(bulk.bit_generator.state, scalar.generator.bit_generator.state)
+
+
+@pytest.mark.parametrize("cfg, window", [
+    (StandardCropConfig(32, 32, scale_min=1.0, scale_max=1.0, ratio_min=1.0, ratio_max=1.0),
+     CropWindow(0, 0, 32, 32)),
+    # every aspect is wider than the image: the centered-square fallback
+    (StandardCropConfig(32, 24, scale_min=1.0, scale_max=1.0, ratio_min=1.5, ratio_max=2.0),
+     CropWindow(4, 0, 24, 24)),
+], ids=["fits", "fallback"])
+def test_standard_window_takes_13_uniforms(cfg, window):
+    rng = RandomSource(5)
+    assert draw_standard_resize_crop(cfg, rng) == window
+    reference = RandomSource(5).generator
+    reference.random(13)
+    np.testing.assert_equal(rng.generator.bit_generator.state, reference.bit_generator.state)
+
+
+def standard_window_oracle(cfg, u):
+    """The standard window of one block of 13 uniforms ``u``, as a scalar loop."""
+    area = (cfg.scale_min + (cfg.scale_max - cfg.scale_min) * u[0]) * (cfg.width * cfg.height)
+    log_min, log_max = math.log(cfg.ratio_min), math.log(cfg.ratio_max)
+    # np.exp, as the array rule takes it, so both round the aspects alike
+    for aspect in np.exp(log_min + (log_max - log_min) * u[1:11]).tolist():
+        w, h = round(math.sqrt(area * aspect)), round(math.sqrt(area / aspect))
+        if 0 < w <= cfg.width and 0 < h <= cfg.height:
+            return [int(u[11] * (cfg.width - w + 1)), int(u[12] * (cfg.height - h + 1)), w, h]
+    side = min(cfg.width, cfg.height)
+    return [(cfg.width - side) // 2, (cfg.height - side) // 2, side, side]
+
+
+@pytest.mark.parametrize("cfg", [
+    StandardCropConfig(32, 32),
+    StandardCropConfig(7, 40, scale_min=0.3, ratio_min=0.2, ratio_max=5.0),
+    StandardCropConfig(32, 24, scale_min=1.0, scale_max=1.0, ratio_min=1.5, ratio_max=2.0),
+], ids=["standard", "thin-wide-ratios", "fallback"])
+def test_standard_windows_follow_the_scalar_oracle(cfg):
+    windows = _windows(cfg, 3000, 32, RandomSource(6).generator)
+    uniforms = RandomSource(6).generator.random((3000, 13))
+    assert windows.tolist() == [standard_window_oracle(cfg, u) for u in uniforms]
+
+
+class LargestUniform:
+    """Stand-in generator whose every uniform is the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2**-53)
+
+
+def test_standard_corner_stays_inside_at_the_largest_uniform():
+    # the largest uniform takes the last corner, room: u * (room + 1)
+    # rounds below room + 1 for every u < 1 and room below 2**53
+    assert (1 - 2**-53) * 3 < 3
+    cfg = StandardCropConfig(5, 7, scale_min=9 / 35, scale_max=9 / 35,
+                             ratio_min=1.0, ratio_max=1.0)
+    windows = _windows(cfg, 3, 32, LargestUniform())
+    assert windows.tolist() == [[2, 4, 3, 3]] * 3
+    tx, ty, w, h = windows.T
+    assert (tx + w <= cfg.width).all() and (ty + h <= cfg.height).all()
+
+
+def test_standard_bulk_windows_draw_in_blocks():
+    # the 3.2 MB output plus one unblocked (100000, 13) block of uniforms
+    # (10.4 MB) would need 13.6 MB
+    generator = RandomSource(1).generator
+    tracemalloc.start()
+    try:
+        _windows(StandardCropConfig(32, 32), 100_000, 32, generator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("config", [StandardCropConfig, ResizeCropConfig])
+def test_resize_sides_at_most_2_31(config):
+    def build(width, height):
+        if config is StandardCropConfig:
+            return StandardCropConfig(width, height)
+        return ResizeCropConfig(0.3, width, height, 1)
+    for width, height in [(2**31 + 1, 32), (32, 2**31 + 1), (2**63, 32), (2**40, 2**40)]:
+        with pytest.raises(ValueError, match=r"width and height must be in \[1, 2\*\*31\]"):
+            build(width, height)
+    # at the bound a covered area of up to 2**62 still fits in int64
+    sampler = build(2**31, 2**31)
+    windows = _windows(sampler, 1000, 32, RandomSource(3).generator)
+    covered = _covered_fraction(*windows.T, sampler.width, sampler.height)
+    assert covered.min() >= 0 and covered.max() <= 1
