@@ -34,6 +34,7 @@ import numpy as np
 from .data import (
     IMAGE_EDGE,
     LabeledDataset,
+    ParseError,
     check_synth_classes,
     compute_stats,
     normalize,
@@ -287,7 +288,8 @@ def parse_config(path: str) -> ExperimentConfig:
 def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Construct and normalize the train/test splits a spec describes.
 
-    Normalization stats always come from the train split.
+    Normalization stats always come from the train split. An empty
+    CIFAR file is an error that names it, raised before any training.
     """
     if spec.source == "synth":
         train_set = synth_shapes(spec.train_per_class, spec.num_classes, spec.seed, "train")
@@ -295,8 +297,12 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
                                 spec.seed + TEST_SEED_OFFSET, "test")
     else:
         parse = parse_cifar10 if spec.source == "cifar10" else parse_cifar100
-        train_set = parse(Path(spec.train_path).read_bytes(), "train")
-        test_set = parse(Path(spec.test_path).read_bytes(), "test")
+        splits = []
+        for split, path in (("train", spec.train_path), ("test", spec.test_path)):
+            splits.append(parse(Path(path).read_bytes(), split))
+            if len(splits[-1]) == 0:
+                raise ParseError(f"{split}_path {path}: the file holds no records")
+        train_set, test_set = splits
     stats = compute_stats(train_set)
     return normalize(train_set, stats), normalize(test_set, stats)
 

@@ -4,6 +4,7 @@ Images are numpy arrays of shape (channels, height, width) with float
 pixel values. Crop windows are axis-aligned integer rectangles. Every
 function here is pure: inputs are never modified in place, and all
 coordinates are whole pixels (no sub-pixel interpolation anywhere).
+``pad_and_crop`` applies the shift rule the trainer calls per batch.
 """
 
 from __future__ import annotations
@@ -61,11 +62,18 @@ def pad_and_crop(image: np.ndarray, window: CropWindow) -> np.ndarray:
     tx, ty = window.tx, window.ty
     if max(abs(tx), abs(ty)) > e:
         raise ValueError(f"offset ({tx}, {ty}) exceeds image size {e}x{e}")
-    out = np.zeros_like(image)
-    i0, i1 = max(0, -tx), min(e, e - tx)
-    j0, j1 = max(0, -ty), min(e, e - ty)
-    if i0 < i1 and j0 < j1:
-        out[:, i0:i1, j0:j1] = image[:, i0 + tx : i1 + tx, j0 + ty : j1 + ty]
+    return _shifted([image], [(tx, ty)], image.dtype)[0]
+
+
+def _shifted(images, offsets, dtype) -> np.ndarray:
+    """Unchecked :func:`pad_and_crop` of each (C, e, e) image by its (tx, ty), into
+    a new (B, C, e, e) ``dtype`` array; |tx|, |ty| <= e keeps both slices valid."""
+    out = np.zeros((len(images), *images[0].shape), dtype)
+    e = out.shape[-1]
+    for row, image, (tx, ty) in zip(out, images, offsets):
+        i0, i1 = max(0, -tx), min(e, e - tx)
+        j0, j1 = max(0, -ty), min(e, e - ty)
+        row[:, i0:i1, j0:j1] = image[:, i0 + tx : i1 + tx, j0 + ty : j1 + ty]
     return out
 
 

@@ -3,11 +3,11 @@
 The network is fully connected with ReLU hidden layers and identity
 output; forward, backward, and the optimizer are plain numpy so every
 gradient can be checked against finite differences. The trainer draws
-each epoch's order, flips and crop windows as arrays, the windows by the
-bulk sampler ``sampler-stats`` uses, from split streams of one root
-RandomSource, so it is bit-reproducible for a fixed seed. Backprop
-takes its ReLU masks from the stored activations, and SGD steps one
-list of parameter arrays, weights then biases, one velocity each.
+each epoch's order, flips and windows as arrays from split streams of
+one root RandomSource (bit-reproducible for a fixed seed) and crops a
+batch in one call of the shift rule of ``pad_and_crop``. Backprop reads
+its ReLU masks off the activations and returns one gradient list,
+weights then biases, which SGD steps with one velocity per array.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CropWindow, _covered_fraction, pad_and_crop
+from .geometry import _covered_fraction, _shifted
 from .loss import _MODE_TABLE, loss_and_grad
 from .sampling import (
     GaussianCropConfig,
@@ -126,21 +126,20 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
                     ps: np.ndarray, mode: str):
     """Mean loss over the batch plus gradients for every parameter.
 
-    Returns (loss, weight_grads, bias_grads, logits). The logit gradient
-    comes from :func:`loss_and_grad`; all deeper gradients follow by the
-    chain rule through ReLU masks, read off the activations: a ReLU
-    output is > 0 exactly where its input is.
+    Returns (loss, grads, logits), grads ordered as model.weights +
+    model.biases. The logit gradient comes from :func:`loss_and_grad`;
+    all deeper gradients follow by the chain rule through ReLU masks,
+    read off the activations: a ReLU output is > 0 exactly where its input is.
     """
     logits, activations = _forward_batch(model, x)
     loss, delta = loss_and_grad(logits, true_classes, ps, mode)
-    weight_grads = [np.empty(0)] * model.num_layers
-    bias_grads = [np.empty(0)] * model.num_layers
+    grads = [np.empty(0)] * (2 * model.num_layers)
     for layer in range(model.num_layers - 1, -1, -1):
-        weight_grads[layer] = delta.T @ activations[layer]
-        bias_grads[layer] = delta.sum(axis=0)
+        grads[layer] = delta.T @ activations[layer]
+        grads[model.num_layers + layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
-    return loss, weight_grads, bias_grads, logits
+    return loss, grads, logits
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -284,7 +283,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     ``root.split(0)`` initializes the model. Epoch e draws from
     ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
     flags the flipped samples of that order, then ``sampling._windows``
-    gives their crops.
+    gives their crops, each batch in one unchecked call of the rule of
+    :func:`pad_and_crop` on its flipped views and window offsets.
 
     Every batch first checks the loss and all gradients and raises
     :class:`NonFiniteLossError` before any update if one is not
@@ -317,28 +317,25 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             sampler = replace(sampler, sigma=sigma)
         generator = root.split(epoch + 1).generator
         order = generator.permutation(n)
-        flips = (generator.random(n) < 0.5).tolist()
+        views = [dataset.images[i][:, :, ::-1] if flip else dataset.images[i]
+                 for i, flip in zip(order, (generator.random(n) < 0.5).tolist())]
         windows = _windows(sampler, n, h, generator)
         vis = _covered_fraction(*windows.T, w, h).tolist()
         epoch_ps = np.array([soften(v, cfg.policy) if uses_p else 1.0 for v in vis])
         loss_sum = 0.0
         wrong = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            batch = np.empty((idx.size, c * h * w))
-            for k, i in enumerate(idx, start):
-                image = dataset.images[i][:, :, ::-1] if flips[k] else dataset.images[i]
-                batch[k - start] = pad_and_crop(image, CropWindow(*windows[k].tolist())).reshape(-1)
-            ps = epoch_ps[start : start + idx.size]
-            labels = dataset.labels[idx]
+            part = slice(start, start + cfg.batch_size)
+            batch = _shifted(views[part], windows[part, :2].tolist(), float).reshape(-1, c * h * w)
+            ps = epoch_ps[part]
+            labels = dataset.labels[order[part]]
             # a blow-up surfaces as NonFiniteLossError below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad_w, grad_b, logits = _backward_batch(model, batch, labels, ps, mode)
-            grads = grad_w + grad_b
+                loss, grads, logits = _backward_batch(model, batch, labels, ps, mode)
             if not (math.isfinite(loss) and all(map(_all_finite, grads))):
                 raise NonFiniteLossError(epoch, batch_index, lr)
             wrong += int((logits.argmax(axis=1) != labels).sum())
-            loss_sum += loss * idx.size
+            loss_sum += loss * labels.size
             for param, vel, grad, decay in zip(params, velocity, grads, decays):
                 _sgd_step(param, vel, grad, lr, cfg.momentum, decay)
         stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))

@@ -1,10 +1,12 @@
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import io
 import multiprocessing
 import os
+import struct
 import sys
 import tempfile
 import types
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softaug import GaussianCropConfig, StandardCropConfig, cli
+from softaug import GaussianCropConfig, RandomSource, StandardCropConfig, cli
 from softaug.cli import ConfigError, main, parse_config
+from softaug.model import init_mlp, save_checkpoint
 
 BASE = {
     "dataset": {"source": "synth", "num_classes": 4, "train_per_class": 8,
@@ -426,6 +429,14 @@ def ini_texts(draw):
     return "\n".join(lines)
 
 
+def run_quietly(argv):
+    """``main(argv)`` with its output captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=150)
 @given(ini_texts())
 def test_fuzzed_ini_text_exits_cleanly(text):
@@ -435,11 +446,72 @@ def test_fuzzed_ini_text_exits_cleanly(text):
         path = Path(tmp) / "fuzz.ini"
         path.write_text(text)
         for command in (["curve", "--points", "2"], ["sampler-stats", "--draws", "10"]):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "out")])
-            assert code in (0, 2), (command, err.getvalue())
-            assert "Traceback" not in err.getvalue()
+            code, err = run_quietly([*command, "--config", str(path),
+                                     "--out", str(Path(tmp) / "out")])
+            assert code in (0, 2), (command, err)
+            assert "Traceback" not in err
+
+
+# --- CIFAR files ---
+
+
+def cifar10_bytes(labels, seed):
+    """CIFAR-10 records: a label byte, then 3072 random pixel bytes each."""
+    pixels = np.random.default_rng(seed).integers(0, 256, (len(labels), 3072), dtype=np.uint8)
+    return b"".join(bytes([label]) + row.tobytes() for label, row in zip(labels, pixels))
+
+
+def cifar_config(tmp, train_bytes, test_bytes):
+    """A one-epoch cifar10 config over train.bin and test.bin in ``tmp``,
+    writing to ``tmp``/run."""
+    for name, blob in (("train.bin", train_bytes), ("test.bin", test_bytes)):
+        (tmp / name).write_bytes(blob)
+    return write_config(tmp / "cifar.ini", tmp / "run", train={"epochs": 1}, dataset={
+        "source": "cifar10", "num_classes": None, "train_per_class": None,
+        "test_per_class": None, "seed": None, "train_path": tmp / "train.bin",
+        "test_path": tmp / "test.bin"})
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_empty_cifar_split_exits_2_before_writing(empty, tmp_path, capsys):
+    records = cifar10_bytes(range(10), seed=5)
+    path = cifar_config(tmp_path, *(b"" if split == empty else records
+                                    for split in ("train", "test")))
+    for argv in (["train", "--config", path],
+                 ["compare", "--config-a", path, "--config-b", path, "--seeds", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {empty}_path {tmp_path / empty}.bin: ")
+        assert not (tmp_path / "run").exists()
+
+
+@st.composite
+def cifar_files(draw):
+    """Train and test bytes of 0-3 CIFAR-10 records each; one file in three
+    gets a label out of range or is cut anywhere."""
+    files = []
+    for _ in range(2):
+        count = draw(st.integers(0, 3))
+        labels = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))
+        blob = bytearray(cifar10_bytes(labels, draw(st.integers(0, 2**32 - 1))))
+        edit = draw(st.sampled_from(["none"] * 4 + ["label", "cut"]))
+        if edit == "label" and count:
+            blob[3073 * draw(st.integers(0, count - 1))] = draw(st.integers(10, 255))
+        elif edit == "cut":
+            del blob[draw(st.integers(0, len(blob))):]
+        files.append(bytes(blob))
+    return files
+
+
+@settings(max_examples=60)
+@given(cifar_files())
+def test_fuzzed_cifar_bytes_exit_cleanly(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cifar_config(Path(tmp), *files)
+        code, err = run_quietly(["train", "--config", path])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        assert (code == 0) == (Path(tmp) / "run").exists(), err
 
 
 def test_train_exit_2_on_missing_config(capsys):
@@ -598,6 +670,54 @@ def test_occlusion_rejects_non_finite_checkpoint(cfg_path, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "layer 1 has a non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def checkpoint_blob():
+    """The bytes of an untrained checkpoint that fits the BASE config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_checkpoint(init_mlp((3072, 8, 4), RandomSource(0)), str(path))
+        return path.read_bytes()
+
+
+# magic, version and size count, then the three-entry size table
+_HEADER, _SIZE_TABLE = 16, 12
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    """A valid checkpoint with one edit: cut short, a header or weight byte
+    flipped, a size table entry overwritten, or bytes appended."""
+    blob = bytearray(checkpoint_blob())
+    edit = draw(st.sampled_from(["truncate", "header", "weight", "size", "trailing"]))
+    if edit == "truncate":
+        del blob[draw(st.integers(0, _HEADER + _SIZE_TABLE) | st.integers(0, len(blob) - 1)):]
+    elif edit == "size":
+        at = _HEADER + 4 * draw(st.integers(0, 2))
+        blob[at : at + 4] = struct.pack("<I", draw(st.sampled_from([0, 1, 2**31, 2**32 - 1])))
+    elif edit == "trailing":
+        blob += draw(st.binary(min_size=1, max_size=16))
+    else:
+        end = _HEADER + _SIZE_TABLE
+        at = draw(st.integers(0, end - 1) if edit == "header" else st.integers(end, len(blob) - 1))
+        blob[at] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=150)
+@given(checkpoint_bytes())
+def test_fuzzed_checkpoint_bytes_exit_cleanly(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, out = Path(tmp) / "checkpoint.bin", Path(tmp) / "occ"
+        ckpt.write_bytes(blob)
+        path = write_config(Path(tmp) / "exp.ini", out,
+                            dataset={"train_per_class": 1, "test_per_class": 1})
+        code, err = run_quietly(["occlusion", "--config", path, "--checkpoint", str(ckpt),
+                                 "--lambdas", "0,0.5"])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        assert (code == 0) == out.exists(), err
 
 
 def test_occlusion_rejects_bad_lambdas(cfg_path, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softaug import CropWindow, RandomSource, iou, occlude, pad_and_crop, visibility
-from softaug.geometry import crop_visibility
+from softaug.geometry import _shifted, crop_visibility
 
 
 def reference_pad_and_crop(image, tx, ty):
@@ -81,22 +81,33 @@ def test_pad_and_crop_rectangular_axes():
 
 @st.composite
 def square_crops(draw):
-    """A (C, e, e) image of random pixels and an offset (tx, ty) within the edge."""
+    """1-6 (C, e, e) images of random pixels, some of them flipped views
+    as the trainer passes them, and an offset (tx, ty) within the edge for
+    each, the edges +-e drawn often."""
     edge = draw(st.integers(1, 9))
-    shape = (draw(st.integers(1, 3)), edge, edge)
-    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
-    return image, draw(st.integers(-edge, edge)), draw(st.integers(-edge, edge))
+    count = draw(st.integers(1, 6))
+    shape = (count, draw(st.integers(1, 3)), edge, edge)
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    images = [image[:, :, ::-1] if draw(st.booleans()) else image for image in pixels]
+    shift = st.sampled_from([-edge, edge]) | st.integers(-edge, edge)
+    return images, [(draw(shift), draw(shift)) for _ in range(count)]
 
 
 @settings(max_examples=150)
 @given(square_crops())
 def test_pad_and_crop_properties(crop):
-    image, tx, ty = crop
-    edge = image.shape[1]
+    images, offsets = crop
+    (tx, ty), image, edge = offsets[0], images[0], images[0].shape[1]
     window = CropWindow(tx, ty, edge, edge)
     assert np.array_equal(pad_and_crop(image, window), reference_pad_and_crop(image, tx, ty))
     kept = np.count_nonzero(pad_and_crop(np.ones_like(image), window)) / image.size
     assert kept == visibility(tx, ty, edge, edge)
+    # the batch rule the trainer calls: row b is pad_and_crop of image b, in new memory
+    batch = _shifted(images, offsets, float)
+    assert batch.shape == (len(images), *image.shape) and batch.dtype == np.float64
+    for row, image, (tx, ty) in zip(batch, images, offsets):
+        assert np.array_equal(row, reference_pad_and_crop(image, tx, ty))
+        assert not np.shares_memory(batch, image)
 
 
 def test_pad_and_crop_rejects_bad_window():

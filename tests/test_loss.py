@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from softaug import MODES, loss_and_grad, make_soft_target, soft_loss, soft_loss_grad
 from softaug.loss import _log_softmax, softmax
@@ -158,19 +159,36 @@ def test_soft_loss_rejects_bad_mode_and_confidence():
         soft_loss(np.zeros(4), 0, 0.1, "target")  # below chance for soft target
 
 
-def test_loss_and_grad_rows_are_per_sample_views():
-    rng = np.random.default_rng(47)
-    b, n = 7, 6
-    logits = rng.normal(0.0, 2.0, (b, n))
+@st.composite
+def loss_batches(draw):
+    """(logits, labels, ps) of B in [1, 8] rows over N in [2, 12] classes:
+    logit scales up to 30, each p in [1/N, 1] with both ends drawn often."""
+    b, n = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(0.0, draw(st.floats(0.0, 30.0)), (b, n))
     labels = rng.integers(0, n, b)
-    ps = rng.uniform(1 / n, 1.0, b)
+    p = st.sampled_from([1 / n, 1.0]) | st.floats(1 / n, 1.0)
+    return logits, labels, np.array([draw(p) for _ in range(b)])
+
+
+_SEED_47 = np.random.default_rng(47)
+_SEED_47_BATCH = (_SEED_47.normal(0.0, 2.0, (7, 6)), _SEED_47.integers(0, 6, 7),
+                  _SEED_47.uniform(1 / 6, 1.0, 7))
+
+
+@settings(max_examples=100)
+@given(loss_batches())
+@example(_SEED_47_BATCH)
+def test_loss_and_grad_rows_are_per_sample_views(batch):
+    logits, labels, ps = batch
+    b = len(labels)
     for mode in MODES:
         loss, grad = loss_and_grad(logits, labels, ps, mode)
         per_sample = [soft_loss(logits[i], labels[i], ps[i], mode) for i in range(b)]
-        assert loss == pytest.approx(sum(per_sample) / b, abs=1e-12)
+        assert loss == pytest.approx(sum(per_sample) / b, rel=1e-12)
         for i in range(b):
-            assert grad[i] == pytest.approx(
-                soft_loss_grad(logits[i], labels[i], ps[i], mode) / b, abs=1e-15)
+            row = soft_loss_grad(logits[i], labels[i], ps[i], mode) / b
+            assert grad[i].tobytes() == row.tobytes(), (mode, i)
 
 
 def test_loss_and_grad_degenerate_cases():

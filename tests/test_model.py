@@ -155,9 +155,8 @@ def test_mlp_validates_shapes():
 def backward(model, image, true_class, p, mode):
     """Loss and parameter gradients of one input: _backward_batch with B = 1."""
     x = np.asarray(image, dtype=float)[None, :]
-    loss, grad_w, grad_b, _ = _backward_batch(model, x, np.array([true_class]),
-                                              np.array([p]), mode)
-    return loss, grad_w, grad_b
+    loss, grads, _ = _backward_batch(model, x, np.array([true_class]), np.array([p]), mode)
+    return loss, grads[:model.num_layers], grads[model.num_layers:]
 
 
 def fd_param_grads(model, image, true_class, p, mode, h=1e-5):
