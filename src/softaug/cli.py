@@ -288,8 +288,9 @@ def parse_config(path: str) -> ExperimentConfig:
 def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Construct and normalize the train/test splits a spec describes.
 
-    Normalization stats always come from the train split. An empty
-    CIFAR file is an error that names it, raised before any training.
+    Normalization stats always come from the train split. A CIFAR file
+    that is empty or malformed is a ParseError whose message starts with
+    ``{split}_path {path}: ``, raised before any training.
     """
     if spec.source == "synth":
         train_set = synth_shapes(spec.train_per_class, spec.num_classes, spec.seed, "train")
@@ -299,9 +300,12 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
         parse = parse_cifar10 if spec.source == "cifar10" else parse_cifar100
         splits = []
         for split, path in (("train", spec.train_path), ("test", spec.test_path)):
-            splits.append(parse(Path(path).read_bytes(), split))
-            if len(splits[-1]) == 0:
-                raise ParseError(f"{split}_path {path}: the file holds no records")
+            try:
+                splits.append(parse(Path(path).read_bytes(), split))
+                if len(splits[-1]) == 0:
+                    raise ParseError("the file holds no records")
+            except ParseError as err:
+                raise ParseError(f"{split}_path {path}: {err}") from None
         train_set, test_set = splits
     stats = compute_stats(train_set)
     return normalize(train_set, stats), normalize(test_set, stats)

@@ -1,10 +1,13 @@
 """Datasets: binary Cifar parsing, a synthetic shapes corpus, and
 per-channel normalization.
 
-Images everywhere are float64 arrays of shape (N, 3, H, W) scaled to
-[0, 1]. The synthetic corpus renders four geometric shapes in up to two
-colors, giving a classification task that is easy for a small MLP but
-genuinely degraded by aggressive crops and occlusion.
+Images are stored as float64 arrays of shape (N, 3, H, W) scaled to
+[0, 1]. The trainer rounds each batch it crops to float32 and keeps its
+working model in float32; the model it returns, the checkpoint and
+evaluation stay float64 (see ``model``). The synthetic corpus renders
+four geometric shapes in up to two colors, giving a classification task
+that is easy for a small MLP but genuinely degraded by aggressive crops
+and occlusion.
 """
 
 from __future__ import annotations

@@ -4,10 +4,16 @@ The network is fully connected with ReLU hidden layers and identity
 output; forward, backward, and the optimizer are plain numpy so every
 gradient can be checked against finite differences. The trainer draws
 each epoch's order, flips and windows as arrays from split streams of
-one root RandomSource (bit-reproducible for a fixed seed) and crops a
-batch in one call of the shift rule of ``pad_and_crop``. Backprop reads
-its ReLU masks off the activations and returns one gradient list,
-weights then biases, which SGD steps with one velocity per array.
+one root RandomSource (bit-reproducible for a fixed seed on one BLAS
+kernel) and crops a batch in one call of the shift rule of
+``pad_and_crop``. Backprop reads its ReLU masks off the activations and
+returns one gradient list, weights then biases, which SGD steps with
+one velocity per array.
+
+One dtype rule: ``init_mlp`` draws in float64, and ``train`` rounds
+that model once to float32, then keeps its batches, weights, biases,
+gradients and velocities in float32; only the loss is float64. The
+model it returns, the checkpoint and evaluation are float64.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .softening import SofteningPolicy, soften
 from .data import LabeledDataset
 
 _CHECKPOINT_MAGIC = b"SAMLP001"
-# Bytes of one row block of the in-place SGD step (16 rows of a
-# 3072-wide float64 weight). On a Xeon with 2 MB of L2 per core,
+# Bytes of one row block of the in-place SGD step (32 rows of a
+# 3072-wide float32 weight). On a Xeon with 2 MB of L2 per core,
 # 128-512 KB blocks ran 20-30% faster than 1 MB or whole-array ones.
 _STEP_BLOCK_BYTES = 384 * 1024
 
@@ -109,6 +115,12 @@ def forward_batch(model: MlpClassifier, inputs: np.ndarray) -> np.ndarray:
     return _forward_batch(model, x)[0]
 
 
+def _with_dtype(model: MlpClassifier, dtype) -> MlpClassifier:
+    """A copy of ``model`` with every weight and bias cast to ``dtype``."""
+    return MlpClassifier(model.layer_sizes, [w.astype(dtype) for w in model.weights],
+                         [b.astype(dtype) for b in model.biases])
+
+
 def _forward_batch(model: MlpClassifier, x: np.ndarray):
     """Returns (logits (B, N), activations) for backprop.
 
@@ -127,12 +139,14 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
     """Mean loss over the batch plus gradients for every parameter.
 
     Returns (loss, grads, logits), grads ordered as model.weights +
-    model.biases. The logit gradient comes from :func:`loss_and_grad`;
-    all deeper gradients follow by the chain rule through ReLU masks,
-    read off the activations: a ReLU output is > 0 exactly where its input is.
+    model.biases. The logit gradient comes from :func:`loss_and_grad`
+    (float64, like the loss) and is cast to the dtype of ``x``; all
+    deeper gradients follow by the chain rule through ReLU masks, read
+    off the activations: a ReLU output is > 0 exactly where its input is.
     """
     logits, activations = _forward_batch(model, x)
     loss, delta = loss_and_grad(logits, true_classes, ps, mode)
+    delta = delta.astype(x.dtype, copy=False)
     grads = [np.empty(0)] * (2 * model.num_layers)
     for layer in range(model.num_layers - 1, -1, -1):
         grads[layer] = delta.T @ activations[layer]
@@ -278,7 +292,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     configured crop sampler over zero padding, and its target softened
     by the visibility of the crop under cfg.policy. With epochs == 0
     the initialized model is returned untouched. Fixed seed implies a
-    bit-identical model and log.
+    bit-identical model and log on one BLAS kernel.
+
+    The float64 model of :func:`init_mlp` is rounded once to float32,
+    and every batch, weight, bias, gradient and velocity stays float32;
+    :func:`loss_and_grad` still computes the loss in float64. The model
+    returned is the float64 copy of the final float32 weights.
 
     ``root.split(0)`` initializes the model. Epoch e draws from
     ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
@@ -288,8 +307,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
 
     Every batch first checks the loss and all gradients and raises
     :class:`NonFiniteLossError` before any update if one is not
-    finite. The step then runs in place, row block by row block (see
-    :func:`_sgd_step`), and is bit-identical to the reference formula
+    finite; an overflow of a float32 cast (a huge pixel or lr) surfaces
+    the same way, not as a numpy warning. The step then runs in place,
+    row block by row block (see :func:`_sgd_step`), and is bit-identical
+    to the reference formula
     ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v`` for every
     weight and bias array in one loop, with a decay of 0 for the biases.
     """
@@ -302,7 +323,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     layer_sizes = (c * h * w, *cfg.hidden_sizes, dataset.num_classes)
     root = RandomSource(cfg.seed)
     model = init_mlp(layer_sizes, root.split(0))
-    params = model.weights + model.biases
+    if cfg.epochs == 0:
+        return model, []
+    work = _with_dtype(model, np.float32)
+    params = work.weights + work.biases
     velocity = [np.zeros_like(param) for param in params]
     decays = [cfg.weight_decay] * model.num_layers + [0.0] * model.num_layers
     mode = cfg.policy.mode
@@ -326,20 +350,20 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
         wrong = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             part = slice(start, start + cfg.batch_size)
-            batch = _shifted(views[part], windows[part, :2].tolist(), float).reshape(-1, c * h * w)
-            ps = epoch_ps[part]
             labels = dataset.labels[order[part]]
-            # a blow-up surfaces as NonFiniteLossError below, not as numpy warnings
+            # a blow-up surfaces as NonFiniteLossError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads, logits = _backward_batch(model, batch, labels, ps, mode)
-            if not (math.isfinite(loss) and all(map(_all_finite, grads))):
-                raise NonFiniteLossError(epoch, batch_index, lr)
+                batch = _shifted(views[part], windows[part, :2].tolist(), np.float32)
+                loss, grads, logits = _backward_batch(
+                    work, batch.reshape(-1, c * h * w), labels, epoch_ps[part], mode)
+                if not (math.isfinite(loss) and all(map(_all_finite, grads))):
+                    raise NonFiniteLossError(epoch, batch_index, lr)
+                for param, vel, grad, decay in zip(params, velocity, grads, decays):
+                    _sgd_step(param, vel, grad, lr, cfg.momentum, decay)
             wrong += int((logits.argmax(axis=1) != labels).sum())
             loss_sum += loss * labels.size
-            for param, vel, grad, decay in zip(params, velocity, grads, decays):
-                _sgd_step(param, vel, grad, lr, cfg.momentum, decay)
         stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))
-    return model, stats
+    return _with_dtype(work, np.float64), stats
 
 
 def save_checkpoint(model: MlpClassifier, path: str) -> None:

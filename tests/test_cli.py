@@ -1,12 +1,13 @@
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import hashlib
 import io
 import multiprocessing
 import os
+import platform
 import struct
+import subprocess
 import sys
 import tempfile
 import types
@@ -20,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from softaug import GaussianCropConfig, RandomSource, StandardCropConfig, cli
 from softaug.cli import ConfigError, main, parse_config
 from softaug.model import init_mlp, save_checkpoint
+
+from conftest import blas_threads
 
 BASE = {
     "dataset": {"source": "synth", "num_classes": 4, "train_per_class": 8,
@@ -211,34 +214,53 @@ def test_train_seed_flag_changes_model(cfg_path, tmp_path):
     assert a != c
 
 
-# sha256 of (checkpoint.bin, epoch_log.csv) after two epochs. The digests
-# are pinned to one numpy/OpenBLAS build (numpy 2.4.6, OpenBLAS 0.3.31):
-# another BLAS may round the matmuls differently. A change that alters
-# the training stream on purpose must update them and say so.
+# sha256 of (checkpoint.bin, epoch_log.csv) after two epochs. numpy's
+# OpenBLAS picks its GEMM kernel for the CPU at run time, and kernels
+# round the matmuls differently, so a digest belongs to one build (numpy
+# 2.4.6, OpenBLAS 0.3.31) and one kernel. Each training therefore runs in
+# a child process under OPENBLAS_CORETYPE=Prescott, the SSE3 kernel that
+# every x86-64 CPU runs (OpenBLAS reports its core name as "Katmai"). A
+# change that alters the training stream on purpose must update them and
+# say so.
+GOLDEN_KERNEL = "Prescott"
 GOLDEN = {
     "uniform_none": (
         {"sampler": {"kind": "uniform", "sigma": None, "range": 8},
          "softening": {"mode": "none"}},
-        "b32a99eda3de3c38e2916deca3f88f50958728fe23bff259185d11e128485d8e",
+        "dba6cc09d10416ed02957a8a542e2b078f9f25bcda4234834461d254f932af8a",
         "89590bec76abda2c23b2c0062f41b0097269d26887d5a7ccc08b3db9cce5b1ef",
     ),
     "gaussian_sigma_decay": (
         {"train": {"sigma_decay_final_epochs": 1}},
-        "0900efc5badfb23970981b78014afbee62f32cec1e3dd62da30ecd47995d8de9",
+        "e13e0fe2a2db21ddf1f3199b79a319df831a9217031d760ffb9dccb0bec10fb4",
         "715098d7acab2f221153c3a926890217fcdbb0acb9494f1409d2b08f3099b6d6",
     ),
     "gaussian_alpha": (
         {"softening": {"alpha": 0.1}},
-        "f442f9c42843d7e291e1767a4ecbbcee20dbac2c5f9e507c8e785925e6acf76f",
+        "dacf75abf07ec275dccb05e96d39390694af2bcfdcad82ac0e2ba91e5a1116d3",
         "a2d9182fdd068335a4b5ada05ac4e40b7f4504a4f2f33f9cc4b86e28e1e2d9dc",
     ),
 }
 
 
+def train_under_golden_kernel(config):
+    """``softaug train --config config`` in a child process pinned to GOLDEN_KERNEL."""
+    machine = platform.machine()
+    if machine not in ("x86_64", "AMD64"):
+        pytest.fail(f"the training goldens are pinned to the x86-64 OpenBLAS kernel "
+                    f"{GOLDEN_KERNEL}, which platform.machine() {machine!r} cannot run")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": GOLDEN_KERNEL, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "softaug.cli", "train", "--config", config],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("arm", sorted(GOLDEN))
 def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
     overrides, checkpoint_sha, log_sha = GOLDEN[arm]
-    assert main(["train", "--config", cfg_path(**overrides)]) == 0
+    train_under_golden_kernel(cfg_path(**overrides))
     run = tmp_path / "run"
     assert hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest() == checkpoint_sha
     assert hashlib.sha256((run / "epoch_log.csv").read_bytes()).hexdigest() == log_sha
@@ -249,8 +271,9 @@ def sha256_of(path):
 
 
 # sha256 of the CSVs the commands other than train write. The occlusion
-# and compare digests go through training, so they carry GOLDEN's
-# numpy/OpenBLAS caveat; curve and sampler-stats involve no matmul.
+# and compare digests go through training on the kernel OpenBLAS picks
+# here, so they carry GOLDEN's caveat, which their %.6g values have hidden
+# so far; curve and sampler-stats involve no matmul.
 _RESIZE = {"kind": "resize_crop", "length": None, "min_length": 16,
            "width": 32, "height": 32}
 _STANDARD = {"kind": "standard", "sigma": None, "length": None,
@@ -512,6 +535,10 @@ def test_fuzzed_cifar_bytes_exit_cleanly(files):
         assert code in (0, 2), err
         assert "Traceback" not in err
         assert (code == 0) == (Path(tmp) / "run").exists(), err
+        # every bad file is named with its split
+        if code == 2:
+            assert any(err.startswith(f"error: {split}_path {Path(tmp) / split}.bin: ")
+                       for split in ("train", "test")), err
 
 
 def test_train_exit_2_on_missing_config(capsys):
@@ -908,23 +935,6 @@ def test_compare_job_errors_reach_the_cli(case, tmp_path, capfd, monkeypatch):
     assert err.startswith(line) and err.count("\n") == 1, err
     assert dict(os.environ) == before
     no_process_left()
-
-
-def openblas():
-    """numpy's bundled OpenBLAS, or None where this numpy has none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    return ctypes.CDLL(str(found[0])) if found else None
-
-
-def blas_threads():
-    """OpenBLAS threads in force in the calling process, or None."""
-    getter = getattr(openblas(), "scipy_openblas_get_num_threads64_", None)
-    if getter is None:
-        return None
-    getter.argtypes = []
-    getter.restype = ctypes.c_int
-    return getter()
 
 
 def test_compare_pool_workers_run_one_blas_thread(monkeypatch):

@@ -373,7 +373,7 @@ def test_train_label_smoothing_arm():
 def scalar_epoch_batches(ds, cfg, epoch):
     """One epoch's (batch, labels, ps) re-derived from scalar public calls
     on its stream: the order, then one flip draw per sample, then one
-    window per sample."""
+    window per sample. The trainer's batches are float32."""
     n, _, h, w = ds.images.shape
     rng = RandomSource(cfg.seed).split(epoch + 1)
     order = rng.generator.permutation(n)
@@ -388,7 +388,8 @@ def scalar_epoch_batches(ds, cfg, epoch):
           for tx, ty in offsets]
     for start in range(0, n, cfg.batch_size):
         end = start + cfg.batch_size
-        yield np.array(rows[start:end]), ds.labels[order[start:end]], np.array(ps[start:end])
+        yield (np.array(rows[start:end], dtype=np.float32), ds.labels[order[start:end]],
+               np.array(ps[start:end]))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -475,6 +476,28 @@ def test_train_nonfinite_loss_diagnostic():
     assert (copy.epoch, copy.batch, copy.lr, str(copy)) == (0, 1, 1e308, str(err.value))
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_float32_inside_float64_outside(monkeypatch):
+    ds = separable_dataset(n_per_class=5)
+    cfg = TrainConfig(
+        epochs=2, batch_size=5, lr0=0.05,
+        policy=SofteningPolicy(k=2.0, p_min=0.5, mode="none"),
+        sampler=UniformCropConfig(range_r=0),
+        hidden_sizes=(8,), seed=4,
+    )
+    model, _ = train(ds, cfg)
+    assert all(a.dtype == np.float64 for a in model.weights + model.biases)
+    # 1e39 pixels are finite in float64, where this model's logits stay
+    # finite, but overflow to inf in the float32 batch: the first batch
+    # raises before any step, and no cast or matmul warning gets out
+    huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
+    assert np.isfinite(forward_batch(model, huge.images)).all()
+    monkeypatch.setattr("softaug.model._sgd_step", lambda *args: pytest.fail("a step ran"))
+    with pytest.raises(NonFiniteLossError) as err:
+        train(huge, cfg)
+    assert (err.value.epoch, err.value.batch) == (0, 0)
+
+
 def reference_step(param, velocity, grad, lr, momentum, weight_decay):
     """The trainer's step as plain expressions on fresh arrays."""
     velocity = momentum * velocity + grad
@@ -484,25 +507,27 @@ def reference_step(param, velocity, grad, lr, momentum, weight_decay):
 
 
 @pytest.mark.parametrize("shape, weight_decay", [
-    ((37, 3072), 5e-4),  # 16-row blocks and a partial last one
+    ((37, 3072), 5e-4),  # 16 float64 or 32 float32 rows a block, and a partial last one
     ((37, 3072), 0.0),
     ((37,), 0.0),        # a bias: one block
     ((37,), 5e-4),
 ])
 def test_sgd_step_matches_reference_bitwise(shape, weight_decay):
-    if len(shape) == 2:
-        assert shape[0] % (_STEP_BLOCK_BYTES // (8 * shape[1])) != 0
-    rng = np.random.default_rng(90)
-    param = rng.normal(0.0, 0.1, shape)
-    velocity = rng.normal(0.0, 0.01, shape)
-    ref_param, ref_velocity = param.copy(), velocity.copy()
-    for lr in (0.1, 0.0731, 1e-3):
-        grad = rng.normal(0.0, 1.0, shape)
-        ref_param, ref_velocity = reference_step(ref_param, ref_velocity, grad,
-                                                 lr, 0.9, weight_decay)
-        _sgd_step(param, velocity, grad, lr, 0.9, weight_decay)  # spends grad
-        assert param.tobytes() == ref_param.tobytes()
-        assert velocity.tobytes() == ref_velocity.tobytes()
+    for dtype in (np.float64, np.float32):
+        if len(shape) == 2:
+            assert shape[0] % (_STEP_BLOCK_BYTES // (np.dtype(dtype).itemsize * shape[1])) != 0
+        rng = np.random.default_rng(90)
+        param = rng.normal(0.0, 0.1, shape).astype(dtype)
+        velocity = rng.normal(0.0, 0.01, shape).astype(dtype)
+        ref_param, ref_velocity = param.copy(), velocity.copy()
+        for lr in (0.1, 0.0731, 1e-3):
+            grad = rng.normal(0.0, 1.0, shape).astype(dtype)
+            ref_param, ref_velocity = reference_step(ref_param, ref_velocity, grad,
+                                                     lr, 0.9, weight_decay)
+            _sgd_step(param, velocity, grad, lr, 0.9, weight_decay)  # spends grad
+            assert param.dtype == ref_param.dtype == dtype
+            assert param.tobytes() == ref_param.tobytes()
+            assert velocity.tobytes() == ref_velocity.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -513,16 +538,22 @@ def test_sgd_step_matches_reference_bitwise(shape, weight_decay):
     ({(2, 3): np.inf, (3, 3): -np.inf}, False),
     ("huge", True),  # the dot product overflows on finite entries
     ({}, True),
+    ("huge32", True),  # in float32 it does so already at 1e20
 ])
 def test_all_finite(entries, finite):
-    grad = np.random.default_rng(91).normal(0.0, 1.0, (5, 7))
-    if entries == "huge":
-        grad = np.full((5, 7), 1e200)
+    if isinstance(entries, str):
+        value, dtype = {"huge": (1e200, np.float64), "huge32": (1e20, np.float32)}[entries]
+        grads = [np.full((5, 7), value, dtype)]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(grads[0][0], grads[0][0]))
     else:
+        grad = np.random.default_rng(91).normal(0.0, 1.0, (5, 7))
         for index, value in entries.items():
             grad[index] = value
-    assert _all_finite(grad) is finite
-    assert _all_finite(grad[0]) is bool(np.isfinite(grad[0]).all())
+        grads = [grad, grad.astype(np.float32)]
+    for grad in grads:
+        assert _all_finite(grad) is finite
+        assert _all_finite(grad[0]) is bool(np.isfinite(grad[0]).all())
 
 
 # --- checkpoints ---
