@@ -4,7 +4,9 @@ Images are numpy arrays of shape (channels, height, width) with float
 pixel values. Crop windows are axis-aligned integer rectangles. Every
 function here is pure: inputs are never modified in place, and all
 coordinates are whole pixels (no sub-pixel interpolation anywhere).
-``pad_and_crop`` applies the shift rule the trainer calls per batch.
+Each pixel rule is stated once, for a batch: ``_shifted`` crops for
+``pad_and_crop`` and the trainer, ``_occluded`` erases for ``occlude``
+and ``metrics.occlusion_sweep``.
 """
 
 from __future__ import annotations
@@ -98,9 +100,14 @@ def crop_visibility(window: CropWindow, width: int, height: int) -> float:
     by the image area. For a same-size window this reduces to
     ``visibility(tx, ty, width, height)``.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"image sides must be >= 1, got {width}x{height}")
+    _check_sides(width, height)
     return float(_covered_fraction(window.tx, window.ty, window.w, window.h, width, height))
+
+
+def _check_sides(width: int, height: int) -> None:
+    # windows are int64, and a covered area of up to side**2 must fit
+    if not (1 <= width <= 2**31 and 1 <= height <= 2**31):
+        raise ValueError(f"width and height must be in [1, 2**31], got {width}x{height}")
 
 
 def _covered_fraction(tx, ty, w, h, width: int, height: int):
@@ -137,13 +144,19 @@ def occlude(image: np.ndarray, lam: float, rng: "RandomSource") -> np.ndarray:
     if image.ndim != 3:
         raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
     _, h, w = image.shape
-    side = _patch_side(lam, h, w)
-    out = image.copy()
+    return _occluded(image[None], _patch_side(lam, h, w), rng.generator)[0]
+
+
+def _occluded(images: np.ndarray, side: int, generator) -> np.ndarray:
+    """Unchecked :func:`occlude` of each (C, H, W) image by a ``side``-px square,
+    its (top, left) per image from one ``integers`` call; side 0 draws nothing."""
+    out = images.copy()
     if side == 0:
         return out
-    top = rng.integers(0, h - side)
-    left = rng.integers(0, w - side)
-    out[:, top : top + side, left : left + side] = 0.0
+    _, _, h, w = out.shape
+    corners = generator.integers(0, (h - side, w - side), (len(out), 2), endpoint=True)
+    for image, (top, left) in zip(out, corners.tolist()):
+        image[:, top : top + side, left : left + side] = 0.0
     return out
 
 

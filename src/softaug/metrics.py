@@ -1,8 +1,8 @@
 """Evaluation: top-1 error, expected calibration error, occlusion sweeps.
 
 ``evaluate`` turns a test set into per-sample prediction records, which
-``top1_error`` and ``ece`` consume; ``occlusion_sweep`` scores its
-patched batches on arrays with the records' argmax rule.
+``top1_error`` and ``ece`` consume; ``occlusion_sweep`` erases by ``occlude``'s
+rule, ``geometry._occluded``, and scores on arrays with the records' argmax rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .geometry import _patch_side
+from .geometry import _occluded, _patch_side
 from .loss import softmax
 from .model import MlpClassifier, forward_batch
 from .sampling import RandomSource
@@ -129,8 +129,9 @@ def occlusion_sweep(
     Each (lambda, trial) pair gets its own split of ``rng``, which draws
     the patch corners ``occlude`` would draw image by image on it, so no
     row depends on another. A lambda whose patch side rounds to 0,
-    lambda = 0 among them, erases nothing and consumes no randomness,
-    so its row always equals the clean error.
+    lambda = 0 among them, erases nothing and consumes no randomness;
+    its row is the mean of ``trials_per_image`` copies of the clean
+    error, equal to it at ``%.6g`` but not always in the last bit.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -157,16 +158,8 @@ def occlusion_sweep(
                 clean = error(images)
             errors = [clean] * trials_per_image
         else:
-            errors = []
-            for trial in range(trials_per_image):
-                generator = rng.split(lam_index).split(trial).generator
-                # (top, left) per image, in occlude's draw order
-                corners = generator.integers(0, (h - side, w - side), (len(images), 2),
-                                             endpoint=True)
-                patched = images.copy()
-                for image, (top, left) in zip(patched, corners.tolist()):
-                    image[:, top : top + side, left : left + side] = 0.0
-                errors.append(error(patched))
+            errors = [error(_occluded(images, side, rng.split(lam_index).split(trial).generator))
+                      for trial in range(trials_per_image)]
         # summed, not multiplied: the row is the mean of the trials' errors
         rows.append((float(lam), sum(errors) / len(errors)))
     return rows

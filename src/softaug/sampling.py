@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CropWindow
+from .geometry import CropWindow, _check_sides
 
 MAX_REJECTIONS = 100
 _MAX_BLOCK = 1 << 16
@@ -142,12 +142,6 @@ class StandardCropConfig:
             raise ValueError(
                 f"need 0 < ratio_min <= ratio_max < inf, got [{self.ratio_min}, {self.ratio_max}]"
             )
-
-
-def _check_sides(width: int, height: int) -> None:
-    # windows are int64, and a covered area of up to side**2 must fit
-    if not (1 <= width <= 2**31 and 1 <= height <= 2**31):
-        raise ValueError(f"width and height must be in [1, 2**31], got {width}x{height}")
 
 
 # the kinds whose crops keep the image size, the only ones train() takes

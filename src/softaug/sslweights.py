@@ -32,8 +32,6 @@ class CropPair:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image sides must be >= 1, got {self.width}x{self.height}")
         for name in ("first", "second"):
             window = getattr(self, name)
             if crop_visibility(window, self.width, self.height) == 0.0:

@@ -27,13 +27,22 @@ def blas_threads():
     return getter()
 
 
+def src_lines():
+    """Lines in the package's modules, counted as ``wc -l`` counts them."""
+    package = Path(__file__).resolve().parent.parent / "src" / "softaug"
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 def pytest_report_header(config):
-    """The numpy version and the OpenBLAS kernel and thread count in force:
-    the digests of training run in the test process depend on the kernel."""
+    """The numpy version and the OpenBLAS kernel and thread count in force
+    (the digests of training run in the test process depend on the
+    kernel), then the package's line count."""
     lib = openblas()
     if lib is None:
-        return f"numpy {np.__version__}, no bundled OpenBLAS"
-    corename = lib.scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return (f"numpy {np.__version__}, OpenBLAS core {corename().decode()}, "
-            f"{blas_threads()} BLAS threads")
+        blas = f"numpy {np.__version__}, no bundled OpenBLAS"
+    else:
+        corename = lib.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        blas = (f"numpy {np.__version__}, OpenBLAS core {corename().decode()}, "
+                f"{blas_threads()} BLAS threads")
+    return [blas, f"src/softaug: {src_lines()} lines"]

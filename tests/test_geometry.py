@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,20 @@ def reference_pad_and_crop(image, tx, ty):
                 si, sj = i + tx, j + ty
                 if 0 <= si < h and 0 <= sj < w:
                     out[ch, i, j] = image[ch, si, sj]
+    return out
+
+
+def reference_occlude(image, lam, rng):
+    """The patch rule in scalars: the side round(sqrt(lam * H * W)) capped
+    at both sides, then one ``integers`` draw for the top and one for the
+    left, then the slice set to 0; a side of 0 draws nothing."""
+    _, h, w = image.shape
+    side = min(int(math.floor(math.sqrt(lam * h * w) + 0.5)), h, w)
+    out = image.copy()
+    if side > 0:
+        top = rng.integers(0, h - side)
+        left = rng.integers(0, w - side)
+        out[:, top : top + side, left : left + side] = 0.0
     return out
 
 
@@ -157,6 +173,22 @@ def test_crop_visibility_partial_window():
     assert crop_visibility(CropWindow(40, 40, 16, 16), 32, 32) == 0.0
 
 
+@pytest.mark.parametrize("window", [CropWindow(0, 0, 2**32, 2**32),
+                                    CropWindow(2**31, 0, 2**32, 2**32)])
+def test_crop_visibility_rejects_sides_past_the_int64_bound(window):
+    # a side of 2**32 makes a covered area of 2**64, which wraps int64:
+    # these read 0.0 and -0.5 when the sides were only checked for >= 1
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        crop_visibility(window, 2**32, 2**32)
+
+
+def test_crop_visibility_exact_at_the_side_bound():
+    assert crop_visibility(CropWindow(0, 0, 2**31, 2**31), 2**31, 2**31) == 1.0
+    assert crop_visibility(CropWindow(2**30, 0, 2**31, 2**31), 2**31, 2**31) == 0.5
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        crop_visibility(CropWindow(0, 0, 4, 4), 0, 4)
+
+
 def test_iou_hand_case():
     assert iou(CropWindow(0, 0, 2, 2), CropWindow(1, 1, 2, 2)) == 1.0 / 7.0
 
@@ -238,3 +270,18 @@ def test_occlude_validates_lambda():
         occlude(np.ones((1, 4, 4)), 1.5, RandomSource(0))
     with pytest.raises(ValueError):
         occlude(np.ones((1, 4, 4)), -0.1, RandomSource(0))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+       st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_occlude_equals_scalar_oracle(channels, h, w, lam, seed):
+    image = np.random.default_rng(seed).random((channels, h, w))
+    rng, reference_rng = RandomSource(seed), RandomSource(seed)
+    out = occlude(image, lam, rng)
+    expected = reference_occlude(image, lam, reference_rng)
+    assert out.tobytes() == expected.tobytes()
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    # the stream is left where the two scalar draws leave it
+    assert repr(rng.generator.bit_generator.state) == repr(
+        reference_rng.generator.bit_generator.state)

@@ -42,6 +42,15 @@ def test_pair_rejects_degenerate_image():
         CropPair(CropWindow(0, 0, 4, 4), CropWindow(0, 0, 4, 4), 0, 4)
 
 
+def test_pair_names_the_side_bound():
+    # a full-image window on a 2**32 image is not "outside the image":
+    # the sides are past the int64 bound of the coverage arithmetic
+    full = CropWindow(0, 0, 2**32, 2**32)
+    with pytest.raises(ValueError, match=r"2\*\*31") as info:
+        CropPair(full, full, 2**32, 2**32)
+    assert "outside" not in str(info.value)
+
+
 def test_pair_overlap_uses_source_coordinates():
     # windows hanging off the image edge still overlap by their full
     # rectangles, not the visible parts
