@@ -1,16 +1,19 @@
 """Command line interface and experiment configuration.
 
 Experiments are described by small INI files with [dataset], [sampler],
-[softening], [train], and [output] sections. Config, data and
-checkpoint checks run before a command creates its output directory.
-Every run directory gets a byte-for-byte snapshot of the config it was
-launched with, written before any training starts, so results stay
-attributable. Exit codes: 0 success, 2 invalid config or inputs, 3
-numeric failure during training.
+[softening], [train], and [output] sections. Every command writes into
+the run directory ``_run_dir`` makes once its config, data and
+checkpoint checks pass: ``--out``, else the config's [output] dir. It
+first removes the files the command writes, so a failed rerun leaves
+no earlier run's artifacts behind, then writes the config snapshots
+byte for byte before any training starts, so results stay attributable.
+Exit codes: 0 success, 2 invalid config or inputs, 3 numeric failure
+during training.
 
 The parser bounds the integer flags (``--seed`` >= 0, ``--points`` >= 2,
-``--trials``, ``--draws``, ``--seeds`` >= 1): an out-of-range or
-non-integer value exits 2 with a usage line before the config is read.
+``--trials``, ``--draws``, ``--seeds`` >= 1) and rejects an empty
+``--out``: such a value exits 2 with a usage line before the config is
+read.
 
 ``compare`` trains its arm x seed models in a pool of spawned worker
 processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
@@ -197,6 +200,13 @@ def _at_least(low: int):
     return parse
 
 
+def _nonempty(text: str) -> str:
+    """argparse type of ``--out``: an empty value is an error, not the config's dir."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _parse_list(raw: str, kind, what: str) -> tuple:
     """The comma-separated ``kind`` values of ``raw``, blank items skipped;
     a ConfigError naming ``what`` if none is left or one does not parse."""
@@ -311,15 +321,26 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return normalize(train_set, stats), normalize(test_set, stats)
 
 
+def _run_dir(args: argparse.Namespace, cfg: ExperimentConfig, writes: tuple, *snapshots) -> Path:
+    """Make ``--out``, else ``cfg``'s [output] dir, once every check passed; remove
+    the files in ``writes``, which the command writes later, so none is left from
+    an earlier run, then write each (name, raw) config snapshot."""
+    out = Path(args.out or cfg.out_dir)
+    os.makedirs(out, exist_ok=True)
+    for name in writes:
+        (out / name).unlink(missing_ok=True)
+    for name, raw in snapshots:
+        (out / name).write_bytes(raw)
+    return out
+
+
 def cmd_train(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     check_trainable(tcfg, cfg.dataset.num_classes, IMAGE_EDGE)
     train_set, test_set = build_datasets(cfg.dataset)
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
-    # snapshot before training: a crashed run still records what it was
-    (out / "config.ini").write_bytes(cfg.raw)
+    out = _run_dir(args, cfg, ("epoch_log.csv", "final_metrics.csv", "checkpoint.bin"),
+                   ("config.ini", cfg.raw))
     model, log = train(train_set, tcfg)
     _write_csv(out / "epoch_log.csv", [f.name for f in fields(EpochStats)],
                [astuple(s) for s in log])
@@ -345,8 +366,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
         curve = replace(policy, k=k)
         for v in np.linspace(0.0, 1.0, args.points):
             rows.append([k, float(v), soften(float(v), curve)])
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
+    out = _run_dir(args, cfg, ("curve.csv",))
     _write_csv(out / "curve.csv", ["k", "v", "p"], rows)
     print(f"curve: wrote {out / 'curve.csv'} "
           f"({len(ks)} curve(s) x {args.points} points, p_min={policy.p_min:g})")
@@ -371,8 +391,7 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
         )
     rows = occlusion_sweep(model, test_set, RandomSource(args.seed), lambdas,
                            trials_per_image=args.trials)
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
+    out = _run_dir(args, cfg, ("occlusion.csv",))
     write_sweep_csv(rows, str(out / "occlusion.csv"))
     print(f"occlusion: wrote {out / 'occlusion.csv'} "
           f"(top-1 error {rows[0][1]:.4f} at lambda={rows[0][0]:g})")
@@ -428,8 +447,7 @@ def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
 def cmd_sampler_stats(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
-    out = Path(args.out or cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
+    out = _run_dir(args, cfg, ("sampler_stats.csv",))
     _write_csv(out / "sampler_stats.csv", ["metric", "value"], rows)
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
@@ -507,10 +525,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
     if script.__spec__ is None and path is not None and not os.path.isfile(path):
         raise ChildProcessError(f"compare cannot run from a script read on standard input: "
                                 f"worker processes re-run it by path, and {path!r} is not a file")
-    out = Path(args.out or cfg_a.out_dir)
-    os.makedirs(out, exist_ok=True)
-    (out / "config_a.ini").write_bytes(cfg_a.raw)
-    (out / "config_b.ini").write_bytes(cfg_b.raw)
+    out = _run_dir(args, cfg_a, ("compare.csv",),
+                   ("config_a.ini", cfg_a.raw), ("config_b.ini", cfg_b.raw))
     name_a, name_b = Path(args.config_a).stem, Path(args.config_b).stem
     if name_a == name_b:
         name_a += "_a"
@@ -542,49 +558,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and probe small classifiers under softened crop targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=_nonempty, default=None,
+                     help="override the [output] dir (for compare, arm A's)")
+    config = argparse.ArgumentParser(add_help=False, parents=[out])
+    config.add_argument("--config", required=True)
 
-    p_train = sub.add_parser("train", help="train one model and write its artifacts")
-    p_train.add_argument("--config", required=True)
+    p_train = sub.add_parser("train", parents=[config],
+                             help="train one model and write its artifacts")
     p_train.add_argument("--seed", type=_at_least(0), default=None,
                          help="override the [train] seed")
-    p_train.add_argument("--out", default=None, help="override the [output] dir")
     p_train.set_defaults(func=cmd_train)
 
-    p_curve = sub.add_parser("curve", help="tabulate the softening curve p(v)")
-    p_curve.add_argument("--config", required=True)
+    p_curve = sub.add_parser("curve", parents=[config],
+                             help="tabulate the softening curve p(v)")
     p_curve.add_argument("--points", type=_at_least(2), default=101)
     p_curve.add_argument("--k-list", default=None,
                          help="comma list of curve exponents (default: config k)")
-    p_curve.add_argument("--out", default=None)
     p_curve.set_defaults(func=cmd_curve)
 
-    p_occ = sub.add_parser("occlusion",
+    p_occ = sub.add_parser("occlusion", parents=[config],
                            help="error of a checkpoint under growing occlusion")
-    p_occ.add_argument("--config", required=True)
     p_occ.add_argument("--checkpoint", required=True)
     p_occ.add_argument("--seed", type=_at_least(0), default=0)
     p_occ.add_argument("--lambdas", default=None,
                        help="comma list of occluded area fractions")
     p_occ.add_argument("--trials", type=_at_least(1), default=1)
-    p_occ.add_argument("--out", default=None)
     p_occ.set_defaults(func=cmd_occlusion)
 
-    p_stats = sub.add_parser("sampler-stats",
+    p_stats = sub.add_parser("sampler-stats", parents=[config],
                              help="empirical statistics of the configured sampler")
-    p_stats.add_argument("--config", required=True)
     p_stats.add_argument("--draws", type=_at_least(1), default=100_000)
     p_stats.add_argument("--seed", type=_at_least(0), default=0)
-    p_stats.add_argument("--out", default=None)
     p_stats.set_defaults(func=cmd_sampler_stats)
 
-    p_cmp = sub.add_parser("compare", help="train two arms over shared seeds")
+    p_cmp = sub.add_parser("compare", parents=[out], help="train two arms over shared seeds")
     p_cmp.add_argument("--config-a", required=True)
     p_cmp.add_argument("--config-b", required=True)
     p_cmp.add_argument("--seeds", type=_at_least(1), default=3)
     p_cmp.add_argument("--seed", type=_at_least(0), default=None,
                        help="base seed (default: arm A's [train] seed)")
-    p_cmp.add_argument("--out", default=None,
-                       help="override arm A's [output] dir")
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -101,7 +101,11 @@ def crop_visibility(window: CropWindow, width: int, height: int) -> float:
     ``visibility(tx, ty, width, height)``.
     """
     _check_sides(width, height)
-    return float(_covered_fraction(window.tx, window.ty, window.w, window.h, width, height))
+    # clipped to the image in Python ints first, so no window overflows int64
+    x0, y0 = min(max(int(window.tx), 0), width), min(max(int(window.ty), 0), height)
+    x1 = max(min(int(window.tx) + int(window.w), width), x0)
+    y1 = max(min(int(window.ty) + int(window.h), height), y0)
+    return float(_covered_fraction(x0, y0, x1 - x0, y1 - y0, width, height))
 
 
 def _check_sides(width: int, height: int) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import functools
@@ -6,6 +7,7 @@ import io
 import multiprocessing
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -546,13 +548,21 @@ def test_train_exit_2_on_missing_config(capsys):
 
 
 def test_train_exit_3_on_numeric_blowup(cfg_path, tmp_path, capsys):
+    run = tmp_path / "run"
+    # a good run first: the failed rerun below must leave none of its artifacts
+    assert main(["train", "--config", cfg_path()]) == 0
+    capsys.readouterr()
     path = cfg_path(train={"lr0": 1e308, "epochs": 3})
     assert main(["train", "--config", path]) == 3
     # the snapshot lands before training, so the crashed run is attributable
-    assert (tmp_path / "run" / "config.ini").exists()
+    assert (run / "config.ini").read_bytes() == Path(path).read_bytes()
+    assert sorted(child.name for child in run.iterdir()) == ["config.ini"]
     # the diagnostic is the only line: no numpy overflow warnings ahead of it
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+    # so no checkpoint is left for the failed run's config to be scored with
+    assert main(["occlusion", "--config", str(run / "config.ini"),
+                 "--checkpoint", str(run / "checkpoint.bin")]) == 2
 
 
 def test_train_exit_2_on_impossible_allocation(cfg_path, tmp_path, capsys):
@@ -673,6 +683,20 @@ def test_occlusion_lambda_zero_matches_clean_eval(cfg_path, tmp_path):
     clean = [line for line in (run / "final_metrics.csv").read_text().splitlines()
              if line.startswith("test_top1_error,")][0].split(",")[1]
     assert occ_rows[1] == f"0,{clean}"
+
+
+def test_occlusion_into_the_train_dir_keeps_the_train_artifacts(cfg_path, tmp_path):
+    path = cfg_path()
+    run = tmp_path / "run"
+    assert main(["train", "--config", path]) == 0
+    before = {child.name: child.read_bytes() for child in run.iterdir()}
+    # the checkpoint it reads is one of the files in the directory it writes to
+    for _ in range(2):
+        assert main(["occlusion", "--config", path, "--checkpoint", str(run / "checkpoint.bin"),
+                     "--lambdas", "0,0.5", "--out", str(run)]) == 0
+    after = {child.name: child.read_bytes() for child in run.iterdir()}
+    assert after.pop("occlusion.csv").splitlines()[0] == b"lambda,top1_error"
+    assert after == before
 
 
 def test_occlusion_rejects_architecture_mismatch(cfg_path, tmp_path):
@@ -890,6 +914,21 @@ def test_compare_reruns_byte_identical(tmp_path):
     assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
 
 
+def test_compare_failed_rerun_leaves_no_old_csv(tmp_path, capfd):
+    arm_a = write_config(tmp_path / "s0.ini", tmp_path / "out_a")
+    good = write_config(tmp_path / "s1.ini", tmp_path / "out_b")
+    bad = write_config(tmp_path / "s_bad.ini", tmp_path / "out_b", train={"lr0": 1e308})
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config-a", arm_a, "--config-b", good, "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert main(["compare", "--config-a", arm_a, "--config-b", bad, "--seeds", "1",
+                 "--out", str(out)]) == 3
+    assert "error: non-finite loss" in capfd.readouterr().err
+    # the snapshots are the failed run's, and the first run's compare.csv is gone
+    assert sorted(child.name for child in out.iterdir()) == ["config_a.ini", "config_b.ini"]
+    assert (out / "config_b.ini").read_bytes() == Path(bad).read_bytes()
+
+
 def test_compare_rejects_dataset_mismatch(tmp_path):
     arm_a = write_config(tmp_path / "a.ini", tmp_path / "out_a")
     arm_b = write_config(tmp_path / "b.ini", tmp_path / "out_b",
@@ -1080,3 +1119,102 @@ def test_compare_same_stem_gets_suffixes(tmp_path):
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[1].startswith("exp_a,")
     assert lines[2].startswith("exp_b,")
+
+
+# --- the run directory, the same rule for every command ---
+
+
+SUBPARSERS = next(action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)).choices
+README_COMMANDS = (Path(__file__).resolve().parent.parent / "README.md").read_text().split(
+    "## CLI commands", 1)[1].split("\n## ", 1)[0]
+# command -> the files its README row says it writes
+WRITES = {command: re.findall(r"`([\w.]+)`", writes)
+          for command, writes in re.findall(r"^\| `([\w-]+)` \| ([^|]*) \|", README_COMMANDS,
+                                            re.MULTILINE)}
+# the cheapest value of each count flag a command may take
+CHEAP = {"--points": "3", "--trials": "1", "--draws": "100", "--seeds": "1"}
+
+
+def run_dir_inputs(tmp_path, command, **overrides):
+    """``command``'s argv without ``--out``, and {option: INI path} for each
+    of its ``--config*`` options. Each INI differs in its bytes and writes
+    to its own [output] dir; any other required option must be known here."""
+    configs, argv = {}, [command]
+    for action in SUBPARSERS[command]._actions:
+        option = next(iter(action.option_strings), action.dest)
+        if option.startswith("--config"):
+            name = option[2:].replace("-", "_")
+            configs[option] = write_config(tmp_path / f"{name}.ini", tmp_path / f"{name}_dir",
+                                           **overrides)
+            with open(configs[option], "a") as fh:
+                fh.write(f"; {option}\n")
+            argv += [option, configs[option]]
+        elif option == "--checkpoint":
+            (tmp_path / "model.bin").write_bytes(checkpoint_blob())
+            argv += [option, str(tmp_path / "model.bin")]
+        elif option in CHEAP:
+            argv += [option, CHEAP[option]]
+        else:
+            assert not action.required, f"{command} {option}: give it a value here"
+    return argv, configs
+
+
+def snapshot_option(name):
+    """The config option a snapshot is named after: config_a.ini <- --config-a."""
+    return "--" + name.removesuffix(".ini").replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_run_dir_contract(command, tmp_path, monkeypatch, capfd):
+    options = [option for action in SUBPARSERS[command]._actions
+               for option in action.option_strings]
+    assert options.count("--out") == 1
+    assert options.count("--config") + options.count("--config-a") == 1, options
+    out = tmp_path / "out"
+
+    # a failed check makes no directory, neither --out nor [output] dir
+    argv, configs = run_dir_inputs(tmp_path, command, softening={"mode": "soft"})
+    assert main([*argv, "--out", str(out)]) == 2
+    assert sorted(child.suffix for child in tmp_path.iterdir()) == sorted(
+        [".ini"] * len(configs) + [".bin"] * ("--checkpoint" in options))
+
+    # --out wins over [output] dir; the files are the README's, the snapshots the INI bytes
+    argv, configs = run_dir_inputs(tmp_path, command)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sorted(child.name for child in out.iterdir()) == sorted(WRITES[command])
+    for name in WRITES[command]:
+        if name.endswith(".ini"):
+            assert (out / name).read_bytes() == Path(configs[snapshot_option(name)]).read_bytes()
+    assert not any(child.name.endswith("_dir") for child in tmp_path.iterdir())
+
+    # without --out it writes to the first config's [output] dir, and a rerun
+    # that fails after its checks leaves none of an earlier run's artifacts
+    run = Path(parse_config(next(iter(configs.values()))).out_dir)
+    run.mkdir()
+    for name in [*WRITES[command], "notes.txt"]:
+        (run / name).write_bytes(b"stale")
+
+    def full_disk(*_args, **_kwargs):
+        raise OSError("No space left on device")
+    for writer in ("_write_csv", "write_sweep_csv", "save_checkpoint"):
+        monkeypatch.setattr(cli, writer, full_disk)
+    assert main(argv) == 2
+    assert "No space left on device" in capfd.readouterr().err
+    left = {child.name: child.read_bytes() for child in run.iterdir()}
+    assert left.pop("notes.txt") == b"stale"
+    assert left == {name: Path(configs[snapshot_option(name)]).read_bytes()
+                    for name in WRITES[command] if name.endswith(".ini")}
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_empty_out_rejected_before_the_config_is_read(command, tmp_path, capsys):
+    # "" is not an unset --out: it would have written to the [output] dir
+    argv, _ = run_dir_inputs(tmp_path, command)
+    inputs = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--out", ""])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: softaug ") and "argument --out: must not be empty" in err
+    assert sorted(tmp_path.iterdir()) == inputs

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softaug import CropWindow, RandomSource, iou, occlude, pad_and_crop, visibility
-from softaug.geometry import _shifted, crop_visibility
+from softaug import CropPair, CropWindow, RandomSource, iou, occlude, pad_and_crop, visibility
+from softaug.geometry import _covered_fraction, _shifted, crop_visibility
 
 
 def reference_pad_and_crop(image, tx, ty):
@@ -187,6 +187,35 @@ def test_crop_visibility_exact_at_the_side_bound():
     assert crop_visibility(CropWindow(2**30, 0, 2**31, 2**31), 2**31, 2**31) == 0.5
     with pytest.raises(ValueError, match=r"2\*\*31"):
         crop_visibility(CropWindow(0, 0, 4, 4), 0, 4)
+
+
+@pytest.mark.parametrize("window, expected", [
+    (CropWindow(2**62, 0, 2**62, 4), 0.0),
+    (CropWindow(0, 0, 2**63, 4), 1.0),
+    (CropWindow(-2**63 - 1, 0, 4, 4), 0.0),
+], ids=["end-past-int64", "side-past-int64", "start-below-int64"])
+def test_crop_visibility_of_windows_past_int64(window, expected):
+    # these raised OverflowError when the window ends were taken as int64
+    assert crop_visibility(window, 4, 4) == expected
+    if expected == 0.0:
+        with pytest.raises(ValueError, match="lies outside the image"):
+            CropPair(window, CropWindow(0, 0, 4, 4), 4, 4)
+    else:
+        assert CropPair(window, window, 4, 4).overlap() == 1.0
+
+
+# windows whose ends tx + w, ty + h fit int64, near small images or far off
+_starts = st.integers(-8, 8) | st.integers(-2**62, 2**62 - 1)
+_lengths = st.integers(1, 16) | st.integers(1, 2**62)
+_image_sides = st.integers(1, 8) | st.integers(1, 2**31)
+
+
+@settings(max_examples=300)
+@given(st.builds(CropWindow, _starts, _starts, _lengths, _lengths), _image_sides, _image_sides)
+def test_crop_visibility_equals_the_int64_formula(window, width, height):
+    # where the window's ends fit int64, clipping first changes no bit
+    formula = _covered_fraction(window.tx, window.ty, window.w, window.h, width, height)
+    assert crop_visibility(window, width, height) == float(formula)
 
 
 def test_iou_hand_case():
