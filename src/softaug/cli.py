@@ -94,11 +94,11 @@ _KEYS = {
     "output": {"dir": str},
 }
 
-# [dataset] source -> (required keys, optional keys)
+# the one list of [dataset] sources: (required keys, optional keys, CIFAR parser, classes)
 _SOURCES = {
-    "synth": ({"num_classes", "train_per_class", "test_per_class"}, {"seed"}),
-    "cifar10": ({"train_path", "test_path"}, {"num_classes"}),
-    "cifar100": ({"train_path", "test_path"}, {"num_classes"}),
+    "synth": ({"num_classes", "train_per_class", "test_per_class"}, {"seed"}, None, None),
+    "cifar10": ({"train_path", "test_path"}, {"num_classes"}, parse_cifar10, 10),
+    "cifar100": ({"train_path", "test_path"}, {"num_classes"}, parse_cifar100, 100),
 }
 
 # [sampler] kind -> (required keys, optional keys, config class): the one list of kinds
@@ -128,13 +128,17 @@ class DatasetSpec:
     test_path: str = ""
 
     def __post_init__(self) -> None:
-        if self.source == "synth":
+        if self.source not in _SOURCES:
+            raise ValueError(f"source must be one of {tuple(_SOURCES)}, got {self.source!r}")
+        fixed = _SOURCES[self.source][3]
+        if fixed is None:
             check_synth_classes(self.num_classes)
             for key in ("train_per_class", "test_per_class"):
                 if getattr(self, key) < 1:
                     raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        elif self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        elif self.num_classes != fixed:
+            raise ValueError(f"num_classes must be {fixed} for {self.source}, "
+                             f"got {self.num_classes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -219,16 +223,6 @@ def _parse_list(raw: str, kind, what: str) -> tuple:
         raise ConfigError(f"{what}: cannot parse {raw!r}") from None
 
 
-def _parse_dataset(parser: configparser.ConfigParser) -> DatasetSpec:
-    values = _section(parser, "dataset", ("source",))
-    source = _choose(values, "dataset", "source", _SOURCES)
-    if source != "synth":
-        fixed = 10 if source == "cifar10" else 100
-        if values.setdefault("num_classes", fixed) != fixed:
-            raise ConfigError(f"[dataset] num_classes must be {fixed} for {source}")
-    return _build("dataset", DatasetSpec, source, **values)
-
-
 def _parse_sampler(parser: configparser.ConfigParser):
     values = _section(parser, "sampler", ("kind",))
     config = _KINDS[_choose(values, "sampler", "kind", _KINDS)][2]
@@ -251,8 +245,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
     Unknown sections or keys are rejected so typos fail loudly instead
     of silently reverting to defaults. Keys the INI leaves out take the
-    library dataclasses' defaults; the dataclasses check each value and
-    this function checks the rules that span keys or sections.
+    library dataclasses' defaults (the INI alone defaults a ``resize_crop``
+    or ``standard`` width and height, to 224); the dataclasses check each
+    value and this function checks the rules that span keys or sections.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -274,7 +269,10 @@ def parse_config(path: str) -> ExperimentConfig:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    dataset = _parse_dataset(parser)
+    values = _section(parser, "dataset", ("source",))
+    source = _choose(values, "dataset", "source", _SOURCES)
+    values.setdefault("num_classes", _SOURCES[source][3])  # synth requires the key
+    dataset = _build("dataset", DatasetSpec, source, **values)
     sampler = _parse_sampler(parser)
 
     chance = 1.0 / dataset.num_classes
@@ -302,12 +300,12 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     that is empty or malformed is a ParseError whose message starts with
     ``{split}_path {path}: ``, raised before any training.
     """
-    if spec.source == "synth":
+    parse = _SOURCES[spec.source][2]
+    if parse is None:
         train_set = synth_shapes(spec.train_per_class, spec.num_classes, spec.seed, "train")
         test_set = synth_shapes(spec.test_per_class, spec.num_classes,
                                 spec.seed + TEST_SEED_OFFSET, "test")
     else:
-        parse = parse_cifar10 if spec.source == "cifar10" else parse_cifar100
         splits = []
         for split, path in (("train", spec.train_path), ("test", spec.test_path)):
             try:
@@ -510,8 +508,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
             f"got {cfg_a.dataset} vs {cfg_b.dataset}"
         )
     spec = cfg_a.dataset
-    if spec.source == "synth":
-        # reserved, never touched: a size too large to hold fails before any write
+    if _SOURCES[spec.source][2] is None:
+        # rendered data: reserved, never touched; a size too large to hold fails before any write
         for per_class in (spec.train_per_class, spec.test_per_class):
             np.empty((spec.num_classes * per_class, 3, IMAGE_EDGE, IMAGE_EDGE))
     else:

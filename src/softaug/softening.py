@@ -6,8 +6,8 @@ original signal earns the true class a confidence
     p(v) = 1 - (1 - p_min) * (1 - v) ** k
 
 which decays smoothly from 1 at v = 1 down to the chance level p_min
-at v = 0. :mod:`softaug.sslweights` applies the same curve to
-self-supervised crop pairs, with crop overlap playing the role of v.
+at v = 0. :func:`soften` is its one statement; :mod:`softaug.sslweights`
+calls it for crop pairs, with the overlap (SA1) or 1 - overlap (SA2) as v.
 """
 
 from __future__ import annotations
@@ -52,21 +52,21 @@ def soften(v: float, policy: SofteningPolicy) -> float:
     """Confidence assigned to the true class at visibility ``v``.
 
     A policy with ``alpha`` set returns 1 - alpha for every v. Otherwise
-    full visibility pins the confidence to exactly 1 for every k,
-    including k = 0; zero visibility yields exactly p_min. Both
-    boundaries are returned directly so they hold bitwise, free of the
-    1-ulp noise of the general expression.
+    the result depends on v only through its shortfall 1 - v: exactly 1
+    at shortfall 0 (v = 1) for every k, k = 0 included, and exactly p_min
+    at shortfall 1 (v = 0, and v <= 2**-54, which 1 - v rounds away).
+    Both are returned directly, free of the 1-ulp noise of the formula.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v}")
     if policy.alpha is not None:
         return 1.0 - policy.alpha
-    if v == 1.0:
+    shortfall = 1.0 - v
+    if shortfall == 0.0:
         return 1.0
-    if v == 0.0:
+    if shortfall == 1.0:
         return policy.p_min
-    p = 1.0 - (1.0 - policy.p_min) * (1.0 - v) ** policy.k
+    p = 1.0 - (1.0 - policy.p_min) * shortfall ** policy.k
     # the raw expression can land 1 ulp outside [p_min, 1] when the power
     # term rounds to 1; the contract promises the closed interval
     return min(1.0, max(policy.p_min, p))
-

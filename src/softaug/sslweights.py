@@ -1,9 +1,9 @@
 """Loss weights for self-supervised crop pairs.
 
 A positive pair is two crop windows of the same source image. The
-overlap (IoU) of the pair maps through the softening curve to a loss
-weight, under either of two opposing hypotheses about which pairs are
-easy, and weights are normalized per batch so their mean stays 1.
+overlap (IoU) of the pair maps through the softening curve ``soften``
+to a loss weight, under either of two opposing hypotheses about which
+pairs are easy, and weights are normalized per batch so their mean stays 1.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CropWindow, crop_visibility, iou
-from .softening import SofteningPolicy
+from .softening import SofteningPolicy, soften
 
 SSL_HYPOTHESES = ("SA1", "SA2")
 
@@ -44,9 +44,10 @@ class CropPair:
 def ssl_pair_confidence(iou_value: float, policy: SofteningPolicy, hypothesis: str) -> float:
     """Confidence for a positive crop pair with the given overlap.
 
-    SA1 treats high overlap as easy (confidence rises with IoU); SA2 is
-    the mirror ansatz where low overlap is easy. The two satisfy
-    SA1(x) == SA2(1 - x) exactly. Only the curve applies: ``alpha`` is rejected.
+    SA1 treats high overlap as easy, ``soften(IoU)``; SA2 is the mirror
+    ansatz where low overlap is easy, ``soften(1 - IoU)``. Both lie in
+    [p_min, 1] and SA1(x) == SA2(1 - x) bit for bit: ``soften`` reads v
+    only through 1 - v. Only the curve applies: ``alpha`` is rejected.
     """
     if policy.alpha is not None:
         raise ValueError(f"SSL pair weights use the softening curve; got alpha={policy.alpha}")
@@ -54,8 +55,7 @@ def ssl_pair_confidence(iou_value: float, policy: SofteningPolicy, hypothesis: s
         raise ValueError(f"IoU must be in [0, 1], got {iou_value}")
     if hypothesis not in SSL_HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {SSL_HYPOTHESES}, got {hypothesis!r}")
-    base = 1.0 - iou_value if hypothesis == "SA1" else iou_value
-    return 1.0 - (1.0 - policy.p_min) * base**policy.k
+    return soften(iou_value if hypothesis == "SA1" else 1.0 - iou_value, policy)
 
 
 def normalize_batch_weights(weights: list[float] | np.ndarray) -> list[float]:

@@ -55,7 +55,12 @@ CASES = {
     "stats shapes": (lambda _: NormalizationStats(np.zeros(3), np.ones(2)),
                      ValueError, "equal length"),
     "stats of empty": (lambda _: compute_stats(dataset(n=0)), ValueError, "empty dataset"),
-    "cifar classes": (lambda _: DatasetSpec("cifar10", 1), ValueError, "num_classes must be >= 2"),
+    # the spec checks the source table itself, so no spec reaches build_datasets
+    # with a source or a CIFAR class count the table does not hold
+    "unknown source": (lambda _: DatasetSpec("imagenet", 5, 1, 1), ValueError,
+                       "source must be one of ('synth', 'cifar10', 'cifar100'), got 'imagenet'"),
+    "cifar classes": (lambda _: DatasetSpec("cifar10", 5), ValueError,
+                      "num_classes must be 10 for cifar10, got 5"),
     "occlude 2-d": (lambda _: occlude(np.ones((4, 4)), 0.5, RandomSource(0)),
                     ValueError, "(C, H, W)"),
     "soft_loss 2-d": (lambda _: soft_loss(np.zeros((2, 2)), 0, 1.0, "hard"),

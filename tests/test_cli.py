@@ -15,6 +15,7 @@ import tempfile
 import types
 from multiprocessing import resource_tracker
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -245,16 +246,22 @@ GOLDEN = {
 }
 
 
-def train_under_golden_kernel(config):
-    """``softaug train --config config`` in a child process pinned to GOLDEN_KERNEL."""
+def golden_kernel():
+    """The environment entry that pins a new process's OpenBLAS to GOLDEN_KERNEL;
+    OpenBLAS reads it once, when the process loads numpy."""
     machine = platform.machine()
     if machine not in ("x86_64", "AMD64"):
         pytest.fail(f"the training goldens are pinned to the x86-64 OpenBLAS kernel "
                     f"{GOLDEN_KERNEL}, which platform.machine() {machine!r} cannot run")
+    return {"OPENBLAS_CORETYPE": GOLDEN_KERNEL}
+
+
+def run_under_golden_kernel(argv):
+    """``softaug *argv`` in a child process pinned to GOLDEN_KERNEL."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_CORETYPE": GOLDEN_KERNEL, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-m", "softaug.cli", "train", "--config", config],
+    env = {**os.environ, **golden_kernel(), "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "softaug.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
@@ -262,7 +269,7 @@ def train_under_golden_kernel(config):
 @pytest.mark.parametrize("arm", sorted(GOLDEN))
 def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
     overrides, checkpoint_sha, log_sha = GOLDEN[arm]
-    train_under_golden_kernel(cfg_path(**overrides))
+    run_under_golden_kernel(["train", "--config", cfg_path(**overrides)])
     run = tmp_path / "run"
     assert hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest() == checkpoint_sha
     assert hashlib.sha256((run / "epoch_log.csv").read_bytes()).hexdigest() == log_sha
@@ -273,9 +280,10 @@ def sha256_of(path):
 
 
 # sha256 of the CSVs the commands other than train write. The occlusion
-# and compare digests go through training on the kernel OpenBLAS picks
-# here, so they carry GOLDEN's caveat, which their %.6g values have hidden
-# so far; curve and sampler-stats involve no matmul.
+# and compare digests go through training, so their trainings run under
+# GOLDEN_KERNEL too: occlusion's train and sweep in child processes, and
+# compare's in its spawned workers, which inherit the pin. Curve and
+# sampler-stats involve no matmul and run in this process.
 _RESIZE = {"kind": "resize_crop", "length": None, "min_length": 16,
            "width": 32, "height": 32}
 _STANDARD = {"kind": "standard", "sigma": None, "length": None,
@@ -316,12 +324,14 @@ GOLDEN_WRITERS = {
 def test_writer_golden_fingerprint(name, cfg_path, tmp_path):
     overrides, argv, filename, digest = GOLDEN_WRITERS[name]
     path = cfg_path(**overrides)
-    run = tmp_path / "run"
-    if name == "occlusion":
-        assert main(["train", "--config", path]) == 0
     out = tmp_path / "out"
-    argv = [arg.format(run=run) for arg in argv]
-    assert main([*argv, "--config", path, "--out", str(out)]) == 0
+    argv = [*(arg.format(run=tmp_path / "run") for arg in argv), "--config", path,
+            "--out", str(out)]
+    if name == "occlusion":
+        run_under_golden_kernel(["train", "--config", path])
+        run_under_golden_kernel(argv)
+    else:
+        assert main(argv) == 0
     assert sha256_of(out / filename) == digest
 
 
@@ -331,8 +341,10 @@ def compare_digest(tmp_path, seeds):
                          softening={"mode": "none"})
     arm_b = write_config(tmp_path / "soft.ini", tmp_path / "out_b")
     out = tmp_path / "cmp"
-    assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
-                 "--seeds", str(seeds), "--out", str(out)]) == 0
+    # compare trains only in spawned workers, which start with this environment
+    with mock.patch.dict(os.environ, golden_kernel()):
+        assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
+                     "--seeds", str(seeds), "--out", str(out)]) == 0
     return sha256_of(out / "compare.csv")
 
 

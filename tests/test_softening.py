@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from softaug import SofteningPolicy, soften, ssl_pair_confidence
 from softaug.sslweights import normalize_batch_weights
@@ -102,8 +102,27 @@ def test_label_smoothing_confidence():
 def test_ssl_confidence_boundaries():
     policy = SofteningPolicy(k=2.0, p_min=0.01)
     assert ssl_pair_confidence(1.0, policy, "SA1") == 1.0
-    assert ssl_pair_confidence(0.0, policy, "SA1") == pytest.approx(0.01, abs=1e-15)
+    assert ssl_pair_confidence(0.0, policy, "SA1") == 0.01
     assert ssl_pair_confidence(0.5, policy, "SA2") == pytest.approx(0.7525, abs=1e-12)
+    # 0 ** 0 is 1, so the bare formula would give two identical crops p_min at k = 0
+    flat = SofteningPolicy(k=0.0, p_min=0.25)
+    assert ssl_pair_confidence(1.0, flat, "SA1") == ssl_pair_confidence(0.0, flat, "SA2") == 1.0
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, 1.0) | st.floats(0.0, 2.0**-54) | st.floats(1.0 - 2.0**-50, 1.0),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 64.0))
+@example(0.0, 0.1, 2.0)
+@example(5e-324, 0.01, 0.0)
+@example(2.0**-54, 0.1, 2.0)
+@example(1.0 - 2.0**-53, 0.01, 0.0)
+def test_ssl_hypotheses_are_the_curve_bit_for_bit(x, p_min, k):
+    # SA1 is soften(x) and SA2 its mirror, for every double, the IoUs at
+    # or below 2**-54 that 1 - x rounds away included
+    policy = SofteningPolicy(p_min, k)
+    sa1 = ssl_pair_confidence(x, policy, "SA1")
+    assert sa1 == soften(x, policy) == ssl_pair_confidence(1.0 - x, policy, "SA2")
+    assert p_min <= sa1 <= 1.0
 
 
 def test_ssl_mirror_identity_bitwise():

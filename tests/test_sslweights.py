@@ -63,7 +63,7 @@ def test_pair_overlap_uses_source_coordinates():
 
 def test_sa1_increases_with_overlap():
     policy = SofteningPolicy(k=2.0, p_min=0.1)
-    assert ssl_pair_confidence(0.0, policy, "SA1") == pytest.approx(0.1, abs=1e-15)
+    assert ssl_pair_confidence(0.0, policy, "SA1") == 0.1
     assert ssl_pair_confidence(1.0, policy, "SA1") == 1.0
     assert ssl_pair_confidence(0.5, policy, "SA1") == pytest.approx(0.775, abs=1e-12)
 
@@ -71,7 +71,7 @@ def test_sa1_increases_with_overlap():
 def test_sa2_decreases_with_overlap():
     policy = SofteningPolicy(k=2.0, p_min=0.1)
     assert ssl_pair_confidence(0.0, policy, "SA2") == 1.0
-    assert ssl_pair_confidence(1.0, policy, "SA2") == pytest.approx(0.1, abs=1e-15)
+    assert ssl_pair_confidence(1.0, policy, "SA2") == 0.1
     assert ssl_pair_confidence(0.5, policy, "SA2") == pytest.approx(0.775, abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_pair_weights_unnormalized_are_curve_values():
         make_pair((0, 0, 16, 16), (32, 32, 16, 16)),
     ]
     raw = [ssl_pair_confidence(pair.overlap(), policy, "SA1") for pair in pairs]
-    assert raw == [1.0, pytest.approx(0.1, abs=1e-15)]
+    assert raw == [1.0, 0.1]
     assert pair_weights(pairs, policy, "SA1") == pytest.approx(
         [1.0 / 0.55, 0.1 / 0.55], abs=1e-12)
 

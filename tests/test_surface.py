@@ -7,7 +7,7 @@ import types
 from pathlib import Path
 
 import softaug
-from softaug.cli import _KEYS, build_parser, parse_config
+from softaug.cli import _KEYS, _KINDS, _SOURCES, build_parser, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,6 +37,8 @@ def test_readme_config_block_parses_and_names_every_key(tmp_path):
         assert f"[{section}]" in block
         for key in keys:
             assert re.search(rf"\b{key}\b", block), f"[{section}] {key}"
+    for name in (*_SOURCES, *_KINDS):
+        assert re.search(rf"\b{name}\b", block), name
 
 
 def test_readme_names_every_cli_option():
