@@ -17,8 +17,9 @@ read.
 
 ``compare`` trains its arm x seed models in a pool of spawned worker
 processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
-build, unless the user set it or OMP_NUM_THREADS. Each worker re-imports
-the main module, so a script that calls ``main`` does so under an
+build, unless the user set it or OMP_NUM_THREADS; ``train`` crops
+inline there either way. Each worker re-imports the main module, so a
+script that calls ``main`` does so under an
 ``if __name__ == "__main__"`` check; a script read from stdin cannot.
 """
 
@@ -61,6 +62,7 @@ from .model import (
     EpochStats,
     NonFiniteLossError,
     TrainConfig,
+    _BLAS_THREAD_VARS,
     check_trainable,
     load_checkpoint,
     save_checkpoint,
@@ -141,6 +143,10 @@ class DatasetSpec:
                              f"got {self.num_classes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        required, optional = _SOURCES[self.source][:2]
+        for field in fields(self)[1:]:  # all but source
+            if field.name not in required | optional and getattr(self, field.name) != field.default:
+                raise ValueError(f"{field.name} does not apply to source {self.source}")
 
 
 @dataclass(frozen=True)
@@ -472,7 +478,7 @@ def _worker_pool(workers: int):
     tracker = getattr(resource_tracker, "_resource_tracker", None)
     # a spawned process shares its parent's running tracker: _fd set, _pid None
     owns_tracker = getattr(tracker, "_fd", 0) is None
-    pin = not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+    pin = not _BLAS_THREAD_VARS & os.environ.keys()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     if pin:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -7,20 +7,28 @@ each epoch's order, flips and windows as arrays from split streams of
 one root RandomSource (bit-reproducible for a fixed seed on one BLAS
 kernel) and crops a batch in one call of the shift rule of
 ``pad_and_crop``. Backprop reads its ReLU masks off the activations and
-returns one gradient list, weights then biases, which SGD steps with
-one velocity per array.
+writes one gradient list, weights then biases, into views of one flat
+float32 buffer; SGD steps it in two spans beside one flat velocity buffer.
 
 One dtype rule: ``init_mlp`` draws in float64, and ``train`` rounds
 that model once to float32, then keeps its batches, weights, biases,
 gradients and velocities in float32; only the loss is float64. The
 model it returns, the checkpoint and evaluation are float64.
+
+One thread rule: ``train`` runs OpenBLAS on one thread fewer and crops
+the next batch on the freed core, in a helper thread with its own numpy
+error state; it and ``cli._worker_pool`` leave a count the user fixed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +51,7 @@ _CHECKPOINT_MAGIC = b"SAMLP001"
 # 3072-wide float32 weight). On a Xeon with 2 MB of L2 per core,
 # 128-512 KB blocks ran 20-30% faster than 1 MB or whole-array ones.
 _STEP_BLOCK_BYTES = 384 * 1024
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 class CheckpointError(ValueError):
@@ -115,10 +124,12 @@ def forward_batch(model: MlpClassifier, inputs: np.ndarray) -> np.ndarray:
     return _forward_batch(model, x)[0]
 
 
-def _with_dtype(model: MlpClassifier, dtype) -> MlpClassifier:
-    """A copy of ``model`` with every weight and bias cast to ``dtype``."""
-    return MlpClassifier(model.layer_sizes, [w.astype(dtype) for w in model.weights],
-                         [b.astype(dtype) for b in model.biases])
+def _unflatten(flat: np.ndarray, layer_sizes: tuple[int, ...]) -> MlpClassifier:
+    """The model whose weights, then biases, are consecutive views of ``flat``."""
+    shapes = [*zip(layer_sizes[1:], layer_sizes), *((s,) for s in layer_sizes[1:])]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    arrays = [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
+    return MlpClassifier(layer_sizes, arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :])
 
 
 def _forward_batch(model: MlpClassifier, x: np.ndarray):
@@ -135,22 +146,22 @@ def _forward_batch(model: MlpClassifier, x: np.ndarray):
 
 
 def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarray,
-                    ps: np.ndarray, mode: str):
+                    ps: np.ndarray, mode: str, grads: list[np.ndarray]):
     """Mean loss over the batch plus gradients for every parameter.
 
-    Returns (loss, grads, logits), grads ordered as model.weights +
-    model.biases. The logit gradient comes from :func:`loss_and_grad`
-    (float64, like the loss) and is cast to the dtype of ``x``; all
-    deeper gradients follow by the chain rule through ReLU masks, read
-    off the activations: a ReLU output is > 0 exactly where its input is.
+    Returns (loss, grads, logits), the gradients written into ``grads``,
+    arrays shaped and ordered as model.weights + model.biases. The logit
+    gradient comes from :func:`loss_and_grad` (float64, like the loss)
+    and is cast to the dtype of ``x``; all deeper gradients follow by the
+    chain rule through ReLU masks, read off the activations: a ReLU
+    output is > 0 exactly where its input is.
     """
     logits, activations = _forward_batch(model, x)
     loss, delta = loss_and_grad(logits, true_classes, ps, mode)
     delta = delta.astype(x.dtype, copy=False)
-    grads = [np.empty(0)] * (2 * model.num_layers)
     for layer in range(model.num_layers - 1, -1, -1):
-        grads[layer] = delta.T @ activations[layer]
-        grads[model.num_layers + layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=grads[layer])
+        delta.sum(axis=0, out=grads[model.num_layers + layer])
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
     return loss, grads, logits
@@ -263,26 +274,59 @@ def _all_finite(grad: np.ndarray) -> bool:
 def _sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
               lr: float, momentum: float, weight_decay: float) -> None:
     """``velocity = momentum*velocity + grad``, ``param *= 1 - lr*weight_decay``
-    (skipped when weight_decay is 0), ``param -= lr*velocity``, all in place.
+    (skipped when weight_decay is 0), ``param -= lr*velocity``, in place.
 
     Every element gets the same rounded operations in the same order as
-    that formula, so the result is bit-identical to it. The rows are
-    walked in blocks of about ``_STEP_BLOCK_BYTES`` so that one block of
-    the three arrays stays in cache across the five passes; ``grad`` is
+    that formula, so the result is bit-identical to it. The C-contiguous
+    arrays are walked flat, in blocks of ``_STEP_BLOCK_BYTES`` so that one
+    block of the three stays in cache across the five passes; ``grad`` is
     spent as the buffer for ``lr*velocity``.
     """
-    rows = max(1, _STEP_BLOCK_BYTES // param[0].nbytes) if param.ndim > 1 else len(param)
+    block = _STEP_BLOCK_BYTES // param.itemsize
     decay = 1.0 - lr * weight_decay
-    for start in range(0, len(param), rows):
-        p = param[start : start + rows]
-        v = velocity[start : start + rows]
-        g = grad[start : start + rows]
+    param, velocity, grad = (a.reshape(-1) for a in (param, velocity, grad))
+    for start in range(0, param.size, block):
+        p, v, g = (a[start : start + block] for a in (param, velocity, grad))
         np.multiply(v, momentum, out=v)
         v += g
         if weight_decay:
             p *= decay
         np.multiply(v, lr, out=g)
         p -= g
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+@contextlib.contextmanager
+def _crop_helper():
+    """Run the block on one OpenBLAS thread fewer and yield ``ahead``, which
+    makes each next item of an iterator on a helper thread on the freed core
+    (overflow and invalid ignored) while the caller uses the current one; the
+    identity where no setter is found, the user fixed the count, or it is 1."""
+    lib = None if _BLAS_THREAD_VARS & os.environ.keys() else _openblas()
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    before = 1 if put is None else lib.scipy_openblas_get_num_threads64_()
+    if before < 2:
+        yield lambda items: items
+        return
+    put(before - 1)
+    try:
+        from concurrent.futures import ThreadPoolExecutor  # here, so `import softaug` skips it
+        with ThreadPoolExecutor(
+                1, initializer=lambda: np.seterr(over="ignore", invalid="ignore")) as helper:
+            def ahead(items):
+                pending = helper.submit(next, items, None)
+                while (item := pending.result()) is not None:
+                    pending = helper.submit(next, items, None)
+                    yield item
+            yield ahead
+    finally:
+        put(before)
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, list[EpochStats]]:
@@ -292,12 +336,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     configured crop sampler over zero padding, and its target softened
     by the visibility of the crop under cfg.policy. With epochs == 0
     the initialized model is returned untouched. Fixed seed implies a
-    bit-identical model and log on one BLAS kernel.
+    bit-identical model and log on one BLAS kernel, at any thread count.
 
-    The float64 model of :func:`init_mlp` is rounded once to float32,
-    and every batch, weight, bias, gradient and velocity stays float32;
-    :func:`loss_and_grad` still computes the loss in float64. The model
-    returned is the float64 copy of the final float32 weights.
+    The float64 model of :func:`init_mlp` is rounded once into one flat
+    float32 buffer, weights then biases, that the working arrays view;
+    batches, gradients and velocities are float32 too, and only the
+    loss is float64. The model returned is a float64 copy.
 
     ``root.split(0)`` initializes the model. Epoch e draws from
     ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
@@ -305,14 +349,17 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     gives their crops, each batch in one unchecked call of the rule of
     :func:`pad_and_crop` on its flipped views and window offsets.
 
-    Every batch first checks the loss and all gradients and raises
-    :class:`NonFiniteLossError` before any update if one is not
-    finite; an overflow of a float32 cast (a huge pixel or lr) surfaces
-    the same way, not as a numpy warning. The step then runs in place,
-    row block by row block (see :func:`_sgd_step`), and is bit-identical
-    to the reference formula
-    ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v`` for every
-    weight and bias array in one loop, with a decay of 0 for the biases.
+    Unless the user fixed its count, OpenBLAS runs on one thread fewer
+    for the call, and if that freed a core a helper thread crops batch
+    t + 1 of the epoch there while batch t trains. The count is
+    process-wide: no other thread may run BLAS during the call.
+
+    Every batch checks the loss and the flat gradient and raises
+    :class:`NonFiniteLossError` before any update if one is not finite,
+    as an overflow of a float32 cast (a huge pixel or lr) on either
+    thread is, with no numpy warning. The step runs in place on the
+    weight span with decay and the bias span without, bit-identical to
+    ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -325,45 +372,47 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     model = init_mlp(layer_sizes, root.split(0))
     if cfg.epochs == 0:
         return model, []
-    work = _with_dtype(model, np.float32)
-    params = work.weights + work.biases
-    velocity = [np.zeros_like(param) for param in params]
-    decays = [cfg.weight_decay] * model.num_layers + [0.0] * model.num_layers
+    flat = np.concatenate([a.ravel() for a in model.weights + model.biases], dtype=np.float32)
+    velocity, gradient = np.zeros_like(flat), np.empty_like(flat)
+    work, spent = _unflatten(flat, layer_sizes), _unflatten(gradient, layer_sizes)
+    grads = spent.weights + spent.biases
+    biases = sum(weight.size for weight in model.weights)
+    spans = [(slice(0, biases), cfg.weight_decay), (slice(biases, None), 0.0)]
     mode = cfg.policy.mode
     uses_p = any(_MODE_TABLE[mode])
 
     stats: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
-        sigma = effective_sigma(epoch, cfg)
-        sampler = cfg.sampler
-        if isinstance(sampler, GaussianCropConfig):
-            sampler = replace(sampler, sigma=sigma)
-        generator = root.split(epoch + 1).generator
-        order = generator.permutation(n)
-        views = [dataset.images[i][:, :, ::-1] if flip else dataset.images[i]
-                 for i, flip in zip(order, (generator.random(n) < 0.5).tolist())]
-        windows = _windows(sampler, n, h, generator)
-        vis = _covered_fraction(*windows.T, w, h).tolist()
-        epoch_ps = np.array([soften(v, cfg.policy) if uses_p else 1.0 for v in vis])
-        loss_sum = 0.0
-        wrong = 0
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            part = slice(start, start + cfg.batch_size)
-            labels = dataset.labels[order[part]]
-            # a blow-up surfaces as NonFiniteLossError, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                batch = _shifted(views[part], windows[part, :2].tolist(), np.float32)
-                loss, grads, logits = _backward_batch(
-                    work, batch.reshape(-1, c * h * w), labels, epoch_ps[part], mode)
-                if not (math.isfinite(loss) and all(map(_all_finite, grads))):
+    # a blow-up surfaces as NonFiniteLossError, not as numpy warnings
+    with _crop_helper() as ahead, np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
+            sigma = effective_sigma(epoch, cfg)
+            sampler = cfg.sampler
+            if isinstance(sampler, GaussianCropConfig):
+                sampler = replace(sampler, sigma=sigma)
+            generator = root.split(epoch + 1).generator
+            order = generator.permutation(n)
+            views = [dataset.images[i][:, :, ::-1] if flip else dataset.images[i]
+                     for i, flip in zip(order, (generator.random(n) < 0.5).tolist())]
+            windows = _windows(sampler, n, h, generator)
+            vis = _covered_fraction(*windows.T, w, h).tolist()
+            epoch_ps = np.array([soften(v, cfg.policy) if uses_p else 1.0 for v in vis])
+            loss_sum = 0.0
+            wrong = 0
+            parts = [slice(start, start + cfg.batch_size) for start in range(0, n, cfg.batch_size)]
+            crops = (_shifted(views[p], windows[p, :2].tolist(), np.float32) for p in parts)
+            for batch_index, (part, batch) in enumerate(zip(parts, ahead(crops))):
+                labels = dataset.labels[order[part]]
+                loss, _, logits = _backward_batch(work, batch.reshape(-1, c * h * w), labels,
+                                                  epoch_ps[part], mode, grads)
+                if not (math.isfinite(loss) and _all_finite(gradient)):
                     raise NonFiniteLossError(epoch, batch_index, lr)
-                for param, vel, grad, decay in zip(params, velocity, grads, decays):
-                    _sgd_step(param, vel, grad, lr, cfg.momentum, decay)
-            wrong += int((logits.argmax(axis=1) != labels).sum())
-            loss_sum += loss * labels.size
-        stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))
-    return _with_dtype(work, np.float64), stats
+                for span, decay in spans:
+                    _sgd_step(flat[span], velocity[span], gradient[span], lr, cfg.momentum, decay)
+                wrong += int((logits.argmax(axis=1) != labels).sum())
+                loss_sum += loss * labels.size
+            stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))
+    return _unflatten(flat.astype(np.float64), layer_sizes), stats
 
 
 def save_checkpoint(model: MlpClassifier, path: str) -> None:

@@ -1,8 +1,11 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
+
+from softaug.model import _BLAS_THREAD_VARS, _openblas
 
 # one profile for every property test: the same examples on every run,
 # no per-example deadline and no example database; each test sets only
@@ -11,16 +14,9 @@ settings.register_profile("softaug", derandomize=True, deadline=None, database=N
 settings.load_profile("softaug")
 
 
-def openblas():
-    """numpy's bundled OpenBLAS, or None where this numpy has none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    return ctypes.CDLL(str(found[0])) if found else None
-
-
 def blas_threads():
     """OpenBLAS threads in force in the calling process, or None."""
-    getter = getattr(openblas(), "scipy_openblas_get_num_threads64_", None)
+    getter = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
     if getter is None:
         return None
     getter.argtypes, getter.restype = [], ctypes.c_int
@@ -36,8 +32,10 @@ def src_lines():
 def pytest_report_header(config):
     """The numpy version and the OpenBLAS kernel and thread count in force
     (the digests of training run in the test process depend on the
-    kernel), then the package's line count."""
-    lib = openblas()
+    kernel), whether ``train`` found the OpenBLAS thread setter and so
+    which crop path the suite's trainings take, then the package's line
+    count."""
+    lib = _openblas()
     if lib is None:
         blas = f"numpy {np.__version__}, no bundled OpenBLAS"
     else:
@@ -45,4 +43,10 @@ def pytest_report_header(config):
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         blas = (f"numpy {np.__version__}, OpenBLAS core {corename().decode()}, "
                 f"{blas_threads()} BLAS threads")
-    return [blas, f"src/softaug: {src_lines()} lines"]
+    setter = hasattr(lib, "scipy_openblas_set_num_threads64_")
+    # train's own rule, read without setting anything
+    helper = setter and not _BLAS_THREAD_VARS & os.environ.keys() and blas_threads() > 1
+    path = "on a helper thread, BLAS on one thread fewer" if helper else "inline"
+    found = "found" if setter else "did not find"
+    return [blas, f"train {found} the OpenBLAS thread setter: it crops {path}",
+            f"src/softaug: {src_lines()} lines"]

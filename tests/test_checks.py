@@ -61,6 +61,13 @@ CASES = {
                        "source must be one of ('synth', 'cifar10', 'cifar100'), got 'imagenet'"),
     "cifar classes": (lambda _: DatasetSpec("cifar10", 5), ValueError,
                       "num_classes must be 10 for cifar10, got 5"),
+    # a field outside the source's row keeps its default, so two specs of
+    # the same data compare equal, as compare's arms must
+    "cifar with synth fields": (lambda _: DatasetSpec("cifar10", 10, train_per_class=5, seed=3,
+                                                      train_path="a", test_path="b"),
+                                ValueError, "train_per_class does not apply to source cifar10"),
+    "synth with paths": (lambda _: DatasetSpec("synth", 4, 2, 2, test_path="b"), ValueError,
+                         "test_path does not apply to source synth"),
     "occlude 2-d": (lambda _: occlude(np.ones((4, 4)), 0.5, RandomSource(0)),
                     ValueError, "(C, H, W)"),
     "soft_loss 2-d": (lambda _: soft_loss(np.zeros((2, 2)), 0, 1.0, "hard"),

@@ -1,6 +1,10 @@
+import contextlib
 import math
 import pickle
+import sys
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from softaug import (
     UniformCropConfig,
     draw_gaussian_window,
     draw_uniform_window,
+    loss_and_grad,
     pad_and_crop,
     soften,
     synth_shapes,
@@ -27,11 +32,15 @@ from softaug import (
     visibility,
 )
 from softaug.data import hflip
+from softaug.geometry import _shifted
+from conftest import blas_threads
 from softaug.model import (
     _STEP_BLOCK_BYTES,
     _all_finite,
     _backward_batch,
+    _forward_batch,
     _sgd_step,
+    _unflatten,
     cosine_lr,
     effective_sigma,
     forward_batch,
@@ -155,7 +164,8 @@ def test_mlp_validates_shapes():
 def backward(model, image, true_class, p, mode):
     """Loss and parameter gradients of one input: _backward_batch with B = 1."""
     x = np.asarray(image, dtype=float)[None, :]
-    loss, grads, _ = _backward_batch(model, x, np.array([true_class]), np.array([p]), mode)
+    grads = [np.empty_like(param) for param in model.weights + model.biases]
+    loss, grads, _ = _backward_batch(model, x, np.array([true_class]), np.array([p]), mode, grads)
     return loss, grads[:model.num_layers], grads[model.num_layers:]
 
 
@@ -370,6 +380,154 @@ def test_train_label_smoothing_arm():
     assert model.layer_sizes == (3072, 16, 4)
 
 
+def fake_openblas(threads, calls):
+    """A stand-in for numpy's OpenBLAS that reports ``threads`` and logs
+    every count set on it into ``calls``."""
+    return SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: threads,
+                           scipy_openblas_set_num_threads64_=lambda n: calls.append(n))
+
+
+CROP_PATHS = ("helper", "inline")
+
+
+def unfix_blas_threads(patch):
+    """Clears the variables by which a user fixes the BLAS thread count."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        patch.delenv(name, raising=False)
+
+
+def force_crop_path(patch, path):
+    """Forces train's crop path through the pin's result: a library that
+    reports 2 threads frees a core for the helper thread, one that reports
+    1 (a one-CPU host) keeps the crop inline."""
+    unfix_blas_threads(patch)
+    threads = {"helper": 2, "inline": 1}[path]
+    patch.setattr("softaug.model._openblas", lambda: fake_openblas(threads, []))
+
+
+def test_crop_paths_train_the_same_model_under_fast_thread_switching(monkeypatch):
+    # a switch every microsecond interleaves the helper's crops with the
+    # main thread's steps as finely as it can; a batch cropped twice,
+    # skipped or out of order would change the weights
+    ds = synth_shapes(3, 4, seed=78)
+    cfg = small_train_config(epochs=3, batch_size=2)
+    models = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for path in CROP_PATHS:
+            with monkeypatch.context() as patch:
+                force_crop_path(patch, path)
+                models[path] = train(ds, cfg)[0]
+    finally:
+        sys.setswitchinterval(interval)
+    helper, inline = (models[path] for path in CROP_PATHS)
+    for a, b in zip(helper.weights + helper.biases, inline.weights + inline.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("path", CROP_PATHS)
+def test_force_crop_path_reaches_the_path(path, monkeypatch):
+    ds = synth_shapes(3, 4, seed=78)
+    on_main = set()
+
+    def spy(images, offsets, dtype):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return _shifted(images, offsets, dtype)
+
+    force_crop_path(monkeypatch, path)
+    monkeypatch.setattr("softaug.model._shifted", spy)
+    train(ds, small_train_config(epochs=2, batch_size=5))
+    assert on_main == {path == "inline"}
+
+
+def test_train_restores_the_blas_thread_count(monkeypatch):
+    unfix_blas_threads(monkeypatch)
+    ds = separable_dataset(n_per_class=5)
+    cfg = TrainConfig(epochs=2, batch_size=5, lr0=0.05,
+                      policy=SofteningPolicy(k=2.0, p_min=0.5, mode="none"),
+                      sampler=UniformCropConfig(range_r=0), hidden_sizes=(8,), seed=4)
+    huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
+    before = blas_threads()
+    during = []
+
+    def spy(*args):
+        during.append(blas_threads())
+        return _backward_batch(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("softaug.model._backward_batch", spy)
+        # the real library: one thread fewer inside (none below 1), the
+        # count back after, also on an error
+        train(ds, cfg)
+        assert blas_threads() == before
+        with pytest.raises(NonFiniteLossError):
+            train(huge, cfg)
+        assert blas_threads() == before
+        assert set(during) == ({None} if before is None else {max(1, before - 1)})
+        # a count the user fixed is left as it is
+        during.clear()
+        patch.setenv("OPENBLAS_NUM_THREADS", "2")
+        train(ds, cfg)
+        assert set(during) == {before}
+    # the exact calls, on any host: 3 threads go to 2, then back to 3, on a
+    # return and on an error
+    for data, error in ((ds, None), (huge, NonFiniteLossError)):
+        calls = []
+        monkeypatch.setattr("softaug.model._openblas", lambda: fake_openblas(3, calls))
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            train(data, cfg)
+        assert calls == [2, 3]
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        calls = []
+        monkeypatch.setenv(name, "3")
+        train(ds, cfg)
+        assert calls == []
+        monkeypatch.delenv(name)
+
+
+def _with_float32(model):
+    """The trainer's working model: ``model`` rounded into one flat float32 buffer."""
+    flat = np.concatenate([a.ravel() for a in model.weights + model.biases], dtype=np.float32)
+    return _unflatten(flat, model.layer_sizes)
+
+
+def reference_backward(model, x, labels, ps, mode):
+    """(loss, grads, logits) by backprop into new arrays from ``@`` and
+    ``sum``, as the trainer formed its gradients before it wrote them
+    into buffers."""
+    logits, activations = _forward_batch(model, x)
+    loss, delta = loss_and_grad(logits, labels, ps, mode)
+    delta = delta.astype(x.dtype)
+    grads = [None] * (2 * model.num_layers)
+    for layer in reversed(range(model.num_layers)):
+        grads[layer] = delta.T @ activations[layer]
+        grads[model.num_layers + layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
+    return loss, grads, logits
+
+
+@pytest.mark.parametrize("sizes", [(13, 7, 5, 3), (3072, 16, 4)])
+@pytest.mark.parametrize("mode", ["hard", "target", "weight", "target_and_weight"])
+def test_backward_batch_into_buffers_equals_new_arrays(mode, sizes):
+    # odd sizes start the views at unaligned offsets; 3072 is the trainer's input width
+    rng = np.random.default_rng(92)
+    model = _with_float32(init_mlp(sizes, RandomSource(93)))
+    x = rng.normal(0.0, 1.0, (5, sizes[0])).astype(np.float32)
+    labels, ps = np.arange(5) % sizes[-1], np.array([1.0, 0.5, 0.75, 0.4, 0.9])
+    loss_ref, expected, logits_ref = reference_backward(model, x, labels, ps, mode)
+    flat = np.full(sum(g.size for g in expected), np.nan, np.float32)
+    buffers = _unflatten(flat, sizes)
+    grads = buffers.weights + buffers.biases
+    loss, into, logits = _backward_batch(model, x, labels, ps, mode, grads)
+    assert into is grads and not np.isnan(flat).any()
+    assert loss == loss_ref and logits.tobytes() == logits_ref.tobytes()
+    for a, b in zip(expected, into):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def scalar_epoch_batches(ds, cfg, epoch):
     """One epoch's (batch, labels, ps) re-derived from scalar public calls
     on its stream: the order, then one flip draw per sample, then one
@@ -403,9 +561,9 @@ def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
     cfg = small_train_config(epochs=2, batch_size=5, **overrides)
     seen = []
 
-    def spy(model, x, labels, ps, mode):
+    def spy(model, x, labels, ps, mode, grads):
         seen.append((x.copy(), labels.copy(), ps.copy()))
-        return _backward_batch(model, x, labels, ps, mode)
+        return _backward_batch(model, x, labels, ps, mode, grads)
 
     softened = []
 
@@ -415,18 +573,23 @@ def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
 
     monkeypatch.setattr("softaug.model._backward_batch", spy)
     monkeypatch.setattr("softaug.model.soften", counting_soften)
-    train(ds, cfg)
-    # check_trainable's one call at v = 0, then one a sample and epoch in
-    # the modes that read p; the hard arm computes no p
-    hard = cfg.policy.mode == "hard"
-    assert len(softened) == 1 + (0 if hard else cfg.epochs * len(ds))
     expected = [batch for epoch in range(cfg.epochs)
                 for batch in scalar_epoch_batches(ds, cfg, epoch)]
-    assert len(seen) == len(expected) == 6
-    for (x, labels, ps), (x_ref, labels_ref, ps_ref) in zip(seen, expected):
-        assert x.tobytes() == x_ref.tobytes()
-        assert labels.tolist() == labels_ref.tolist()
-        assert ps.tobytes() == ps_ref.tobytes()
+    for path in CROP_PATHS:
+        seen.clear()
+        softened.clear()
+        with monkeypatch.context() as patch:
+            force_crop_path(patch, path)
+            train(ds, cfg)
+        # check_trainable's one call at v = 0, then one a sample and epoch in
+        # the modes that read p; the hard arm computes no p
+        hard = cfg.policy.mode == "hard"
+        assert len(softened) == 1 + (0 if hard else cfg.epochs * len(ds))
+        assert len(seen) == len(expected) == 6
+        for (x, labels, ps), (x_ref, labels_ref, ps_ref) in zip(seen, expected):
+            assert x.tobytes() == x_ref.tobytes(), path
+            assert labels.tolist() == labels_ref.tolist()
+            assert ps.tobytes() == ps_ref.tobytes()
 
 
 def test_train_rejects_below_chance_policy_up_front(monkeypatch):
@@ -485,17 +648,21 @@ def test_train_float32_inside_float64_outside(monkeypatch):
         sampler=UniformCropConfig(range_r=0),
         hidden_sizes=(8,), seed=4,
     )
-    model, _ = train(ds, cfg)
-    assert all(a.dtype == np.float64 for a in model.weights + model.biases)
-    # 1e39 pixels are finite in float64, where this model's logits stay
-    # finite, but overflow to inf in the float32 batch: the first batch
-    # raises before any step, and no cast or matmul warning gets out
-    huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
-    assert np.isfinite(forward_batch(model, huge.images)).all()
-    monkeypatch.setattr("softaug.model._sgd_step", lambda *args: pytest.fail("a step ran"))
-    with pytest.raises(NonFiniteLossError) as err:
-        train(huge, cfg)
-    assert (err.value.epoch, err.value.batch) == (0, 0)
+    for path in CROP_PATHS:
+        with monkeypatch.context() as patch:
+            force_crop_path(patch, path)
+            model, _ = train(ds, cfg)
+            assert all(a.dtype == np.float64 for a in model.weights + model.biases)
+            # 1e39 pixels are finite in float64, where this model's logits stay
+            # finite, but overflow to inf in the float32 batch: the first batch
+            # raises before any step, and no cast or matmul warning gets out,
+            # from the helper thread either
+            huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
+            assert np.isfinite(forward_batch(model, huge.images)).all()
+            patch.setattr("softaug.model._sgd_step", lambda *args: pytest.fail("a step ran"))
+            with pytest.raises(NonFiniteLossError) as err:
+                train(huge, cfg)
+            assert (err.value.epoch, err.value.batch) == (0, 0), path
 
 
 def reference_step(param, velocity, grad, lr, momentum, weight_decay):

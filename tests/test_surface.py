@@ -2,7 +2,10 @@
 the README documents what the code accepts."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +19,18 @@ def test_all_is_explicit_and_resolves():
     assert len(softaug.__all__) == len(set(softaug.__all__))
     for name in softaug.__all__:
         assert not isinstance(getattr(softaug, name), types.ModuleType), name
+
+
+def test_import_loads_no_pool_module():
+    # the trainer and compare import their executors when they run: the
+    # import time every command pays stays free of them
+    probe = ("import sys, softaug; "
+             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    src = str(Path(softaug.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_library_block_runs():
