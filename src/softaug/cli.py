@@ -17,9 +17,8 @@ read.
 
 ``compare`` trains its arm x seed models in a pool of spawned worker
 processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
-build, unless the user set it or OMP_NUM_THREADS; ``train`` crops
-inline there either way. Each worker re-imports the main module, so a
-script that calls ``main`` does so under an
+build, unless the user set it or OMP_NUM_THREADS. Each worker re-imports
+the main module, so a script that calls ``main`` does so under an
 ``if __name__ == "__main__"`` check; a script read from stdin cannot.
 """
 
@@ -62,7 +61,6 @@ from .model import (
     EpochStats,
     NonFiniteLossError,
     TrainConfig,
-    _BLAS_THREAD_VARS,
     check_trainable,
     load_checkpoint,
     save_checkpoint,
@@ -81,6 +79,8 @@ from .softening import SofteningPolicy, soften
 
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
+# setting either fixes the BLAS thread count of compare's workers
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 # section -> key -> type: the one list of INI keys; any other key is rejected
 _KEYS = {

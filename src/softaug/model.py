@@ -15,9 +15,9 @@ that model once to float32, then keeps its batches, weights, biases,
 gradients and velocities in float32; only the loss is float64. The
 model it returns, the checkpoint and evaluation are float64.
 
-One thread rule: ``train`` runs OpenBLAS on one thread fewer and crops
-the next batch on the freed core, in a helper thread with its own numpy
-error state; it and ``cli._worker_pool`` leave a count the user fixed.
+One thread rule: ``train`` runs OpenBLAS on exactly 1 thread for the
+call, whatever the environment says. The count is process-wide, so no
+other thread may run BLAS meanwhile.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,7 +50,6 @@ _CHECKPOINT_MAGIC = b"SAMLP001"
 # 3072-wide float32 weight). On a Xeon with 2 MB of L2 per core,
 # 128-512 KB blocks ran 20-30% faster than 1 MB or whole-array ones.
 _STEP_BLOCK_BYTES = 384 * 1024
-_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 class CheckpointError(ValueError):
@@ -303,28 +301,18 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _crop_helper():
-    """Run the block on one OpenBLAS thread fewer and yield ``ahead``, which
-    makes each next item of an iterator on a helper thread on the freed core
-    (overflow and invalid ignored) while the caller uses the current one; the
-    identity where no setter is found, the user fixed the count, or it is 1."""
-    lib = None if _BLAS_THREAD_VARS & os.environ.keys() else _openblas()
+def _one_blas_thread():
+    """Run the block on exactly one OpenBLAS thread and restore the count
+    after, also on an error; do nothing where no setter is found."""
+    lib = _openblas()
     put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    before = 1 if put is None else lib.scipy_openblas_get_num_threads64_()
-    if before < 2:
-        yield lambda items: items
+    if put is None:
+        yield
         return
-    put(before - 1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    put(1)
     try:
-        from concurrent.futures import ThreadPoolExecutor  # here, so `import softaug` skips it
-        with ThreadPoolExecutor(
-                1, initializer=lambda: np.seterr(over="ignore", invalid="ignore")) as helper:
-            def ahead(items):
-                pending = helper.submit(next, items, None)
-                while (item := pending.result()) is not None:
-                    pending = helper.submit(next, items, None)
-                    yield item
-            yield ahead
+        yield
     finally:
         put(before)
 
@@ -336,7 +324,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     configured crop sampler over zero padding, and its target softened
     by the visibility of the crop under cfg.policy. With epochs == 0
     the initialized model is returned untouched. Fixed seed implies a
-    bit-identical model and log on one BLAS kernel, at any thread count.
+    bit-identical model and log on one BLAS kernel.
 
     The float64 model of :func:`init_mlp` is rounded once into one flat
     float32 buffer, weights then biases, that the working arrays view;
@@ -349,16 +337,15 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     gives their crops, each batch in one unchecked call of the rule of
     :func:`pad_and_crop` on its flipped views and window offsets.
 
-    Unless the user fixed its count, OpenBLAS runs on one thread fewer
-    for the call, and if that freed a core a helper thread crops batch
-    t + 1 of the epoch there while batch t trains. The count is
+    OpenBLAS runs on exactly 1 thread for the call, whatever the
+    environment says, and its count is restored after. The count is
     process-wide: no other thread may run BLAS during the call.
 
     Every batch checks the loss and the flat gradient and raises
     :class:`NonFiniteLossError` before any update if one is not finite,
-    as an overflow of a float32 cast (a huge pixel or lr) on either
-    thread is, with no numpy warning. The step runs in place on the
-    weight span with decay and the bias span without, bit-identical to
+    as an overflow of a float32 cast (a huge pixel or lr) is, with no
+    numpy warning. The step runs in place on the weight span with decay
+    and the bias span without, bit-identical to
     ``v = momentum*v + g; w *= 1 - lr*weight_decay; w -= lr*v``.
     """
     if len(dataset) == 0:
@@ -383,7 +370,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
 
     stats: list[EpochStats] = []
     # a blow-up surfaces as NonFiniteLossError, not as numpy warnings
-    with _crop_helper() as ahead, np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
             sigma = effective_sigma(epoch, cfg)
@@ -401,7 +388,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             wrong = 0
             parts = [slice(start, start + cfg.batch_size) for start in range(0, n, cfg.batch_size)]
             crops = (_shifted(views[p], windows[p, :2].tolist(), np.float32) for p in parts)
-            for batch_index, (part, batch) in enumerate(zip(parts, ahead(crops))):
+            for batch_index, (part, batch) in enumerate(zip(parts, crops)):
                 labels = dataset.labels[order[part]]
                 loss, _, logits = _backward_batch(work, batch.reshape(-1, c * h * w), labels,
                                                   epoch_ps[part], mode, grads)

@@ -54,8 +54,8 @@ def soften(v: float, policy: SofteningPolicy) -> float:
     A policy with ``alpha`` set returns 1 - alpha for every v. Otherwise
     the result depends on v only through its shortfall 1 - v: exactly 1
     at shortfall 0 (v = 1) for every k, k = 0 included, and exactly p_min
-    at shortfall 1 (v = 0, and v <= 2**-54, which 1 - v rounds away).
-    Both are returned directly, free of the 1-ulp noise of the formula.
+    where shortfall ** k is 1 (v = 0, v <= 2**-54, and every v < 1 at
+    k = 0). Both are returned directly, free of the formula's 1-ulp noise.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v}")
@@ -64,9 +64,10 @@ def soften(v: float, policy: SofteningPolicy) -> float:
     shortfall = 1.0 - v
     if shortfall == 0.0:
         return 1.0
-    if shortfall == 1.0:
+    power = shortfall ** policy.k
+    if power == 1.0:
         return policy.p_min
-    p = 1.0 - (1.0 - policy.p_min) * shortfall ** policy.k
+    p = 1.0 - (1.0 - policy.p_min) * power
     # the raw expression can land 1 ulp outside [p_min, 1] when the power
-    # term rounds to 1; the contract promises the closed interval
+    # term is near 1; the contract promises the closed interval
     return min(1.0, max(policy.p_min, p))

@@ -1,11 +1,10 @@
 import ctypes
-import os
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
-from softaug.model import _BLAS_THREAD_VARS, _openblas
+from softaug.model import _openblas
 
 # one profile for every property test: the same examples on every run,
 # no per-example deadline and no example database; each test sets only
@@ -33,8 +32,7 @@ def pytest_report_header(config):
     """The numpy version and the OpenBLAS kernel and thread count in force
     (the digests of training run in the test process depend on the
     kernel), whether ``train`` found the OpenBLAS thread setter and so
-    which crop path the suite's trainings take, then the package's line
-    count."""
+    runs on 1 thread, then the package's line count."""
     lib = _openblas()
     if lib is None:
         blas = f"numpy {np.__version__}, no bundled OpenBLAS"
@@ -43,10 +41,9 @@ def pytest_report_header(config):
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         blas = (f"numpy {np.__version__}, OpenBLAS core {corename().decode()}, "
                 f"{blas_threads()} BLAS threads")
-    setter = hasattr(lib, "scipy_openblas_set_num_threads64_")
-    # train's own rule, read without setting anything
-    helper = setter and not _BLAS_THREAD_VARS & os.environ.keys() and blas_threads() > 1
-    path = "on a helper thread, BLAS on one thread fewer" if helper else "inline"
-    found = "found" if setter else "did not find"
-    return [blas, f"train {found} the OpenBLAS thread setter: it crops {path}",
-            f"src/softaug: {src_lines()} lines"]
+    # train's own lookup, read without setting anything
+    if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        rule = "train found the OpenBLAS thread setter: it runs on 1 BLAS thread"
+    else:
+        rule = "train did not find the OpenBLAS thread setter: it runs on the count in force"
+    return [blas, rule, f"src/softaug: {src_lines()} lines"]

@@ -256,11 +256,12 @@ def golden_kernel():
     return {"OPENBLAS_CORETYPE": GOLDEN_KERNEL}
 
 
-def run_under_golden_kernel(argv):
-    """``softaug *argv`` in a child process pinned to GOLDEN_KERNEL."""
+def run_under_golden_kernel(argv, **env):
+    """``softaug *argv`` in a child process pinned to GOLDEN_KERNEL, with
+    ``env`` added to its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **golden_kernel(), "PYTHONPATH": path}
+    env = {**os.environ, **env, **golden_kernel(), "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-m", "softaug.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -277,6 +278,21 @@ def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_train_model_does_not_depend_on_the_blas_thread_count(cfg_path, tmp_path):
+    # 40 images in batches of 25 at hidden 16 are in OpenBLAS's threaded
+    # range, where 1 and 2 threads round GOLDEN_KERNEL's float32 GEMMs
+    # differently; the GOLDEN configs are too small for it to thread
+    path = cfg_path(dataset={"train_per_class": 10},
+                    train={"epochs": 1, "batch_size": 25, "hidden": 16})
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        run_under_golden_kernel(["train", "--config", path, "--out", str(out)],
+                                OPENBLAS_NUM_THREADS=threads)
+        digests[threads] = [sha256_of(out / name) for name in ("checkpoint.bin", "epoch_log.csv")]
+    assert digests["1"] == digests["2"]
 
 
 # sha256 of the CSVs the commands other than train write. The occlusion

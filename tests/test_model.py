@@ -1,8 +1,6 @@
 import contextlib
 import math
 import pickle
-import sys
-import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -32,7 +30,6 @@ from softaug import (
     visibility,
 )
 from softaug.data import hflip
-from softaug.geometry import _shifted
 from conftest import blas_threads
 from softaug.model import (
     _STEP_BLOCK_BYTES,
@@ -387,62 +384,9 @@ def fake_openblas(threads, calls):
                            scipy_openblas_set_num_threads64_=lambda n: calls.append(n))
 
 
-CROP_PATHS = ("helper", "inline")
-
-
-def unfix_blas_threads(patch):
-    """Clears the variables by which a user fixes the BLAS thread count."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        patch.delenv(name, raising=False)
-
-
-def force_crop_path(patch, path):
-    """Forces train's crop path through the pin's result: a library that
-    reports 2 threads frees a core for the helper thread, one that reports
-    1 (a one-CPU host) keeps the crop inline."""
-    unfix_blas_threads(patch)
-    threads = {"helper": 2, "inline": 1}[path]
-    patch.setattr("softaug.model._openblas", lambda: fake_openblas(threads, []))
-
-
-def test_crop_paths_train_the_same_model_under_fast_thread_switching(monkeypatch):
-    # a switch every microsecond interleaves the helper's crops with the
-    # main thread's steps as finely as it can; a batch cropped twice,
-    # skipped or out of order would change the weights
-    ds = synth_shapes(3, 4, seed=78)
-    cfg = small_train_config(epochs=3, batch_size=2)
-    models = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for path in CROP_PATHS:
-            with monkeypatch.context() as patch:
-                force_crop_path(patch, path)
-                models[path] = train(ds, cfg)[0]
-    finally:
-        sys.setswitchinterval(interval)
-    helper, inline = (models[path] for path in CROP_PATHS)
-    for a, b in zip(helper.weights + helper.biases, inline.weights + inline.biases):
-        assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("path", CROP_PATHS)
-def test_force_crop_path_reaches_the_path(path, monkeypatch):
-    ds = synth_shapes(3, 4, seed=78)
-    on_main = set()
-
-    def spy(images, offsets, dtype):
-        on_main.add(threading.current_thread() is threading.main_thread())
-        return _shifted(images, offsets, dtype)
-
-    force_crop_path(monkeypatch, path)
-    monkeypatch.setattr("softaug.model._shifted", spy)
-    train(ds, small_train_config(epochs=2, batch_size=5))
-    assert on_main == {path == "inline"}
-
-
 def test_train_restores_the_blas_thread_count(monkeypatch):
-    unfix_blas_threads(monkeypatch)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
     ds = separable_dataset(n_per_class=5)
     cfg = TrainConfig(epochs=2, batch_size=5, lr0=0.05,
                       policy=SofteningPolicy(k=2.0, p_min=0.5, mode="none"),
@@ -457,33 +401,29 @@ def test_train_restores_the_blas_thread_count(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr("softaug.model._backward_batch", spy)
-        # the real library: one thread fewer inside (none below 1), the
-        # count back after, also on an error
-        train(ds, cfg)
-        assert blas_threads() == before
-        with pytest.raises(NonFiniteLossError):
-            train(huge, cfg)
-        assert blas_threads() == before
-        assert set(during) == ({None} if before is None else {max(1, before - 1)})
-        # a count the user fixed is left as it is
-        during.clear()
-        patch.setenv("OPENBLAS_NUM_THREADS", "2")
-        train(ds, cfg)
-        assert set(during) == {before}
-    # the exact calls, on any host: 3 threads go to 2, then back to 3, on a
-    # return and on an error
-    for data, error in ((ds, None), (huge, NonFiniteLossError)):
-        calls = []
-        monkeypatch.setattr("softaug.model._openblas", lambda: fake_openblas(3, calls))
-        with pytest.raises(error) if error else contextlib.nullcontext():
-            train(data, cfg)
-        assert calls == [2, 3]
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        calls = []
-        monkeypatch.setenv(name, "3")
-        train(ds, cfg)
-        assert calls == []
-        monkeypatch.delenv(name)
+        # the real library: exactly 1 thread inside, also when the user
+        # asked for 2, and the count back after, also on an error
+        for setting in (None, "2"):
+            if setting:
+                patch.setenv("OPENBLAS_NUM_THREADS", setting)
+            train(ds, cfg)
+            assert blas_threads() == before
+            with pytest.raises(NonFiniteLossError):
+                train(huge, cfg)
+            assert blas_threads() == before
+        assert set(during) == ({None} if before is None else {1})
+    # the exact calls, on any host and whatever either variable says: 3
+    # threads go to 1, then back to 3, on a return and on an error
+    for name in (None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for data, error in ((ds, None), (huge, NonFiniteLossError)):
+            calls = []
+            with monkeypatch.context() as patch:
+                if name:
+                    patch.setenv(name, "3")
+                patch.setattr("softaug.model._openblas", lambda: fake_openblas(3, calls))
+                with pytest.raises(error) if error else contextlib.nullcontext():
+                    train(data, cfg)
+            assert calls == [1, 3]
 
 
 def _with_float32(model):
@@ -575,21 +515,16 @@ def test_train_batches_equal_scalar_stream(overrides, monkeypatch):
     monkeypatch.setattr("softaug.model.soften", counting_soften)
     expected = [batch for epoch in range(cfg.epochs)
                 for batch in scalar_epoch_batches(ds, cfg, epoch)]
-    for path in CROP_PATHS:
-        seen.clear()
-        softened.clear()
-        with monkeypatch.context() as patch:
-            force_crop_path(patch, path)
-            train(ds, cfg)
-        # check_trainable's one call at v = 0, then one a sample and epoch in
-        # the modes that read p; the hard arm computes no p
-        hard = cfg.policy.mode == "hard"
-        assert len(softened) == 1 + (0 if hard else cfg.epochs * len(ds))
-        assert len(seen) == len(expected) == 6
-        for (x, labels, ps), (x_ref, labels_ref, ps_ref) in zip(seen, expected):
-            assert x.tobytes() == x_ref.tobytes(), path
-            assert labels.tolist() == labels_ref.tolist()
-            assert ps.tobytes() == ps_ref.tobytes()
+    train(ds, cfg)
+    # check_trainable's one call at v = 0, then one a sample and epoch in
+    # the modes that read p; the hard arm computes no p
+    hard = cfg.policy.mode == "hard"
+    assert len(softened) == 1 + (0 if hard else cfg.epochs * len(ds))
+    assert len(seen) == len(expected) == 6
+    for (x, labels, ps), (x_ref, labels_ref, ps_ref) in zip(seen, expected):
+        assert x.tobytes() == x_ref.tobytes()
+        assert labels.tolist() == labels_ref.tolist()
+        assert ps.tobytes() == ps_ref.tobytes()
 
 
 def test_train_rejects_below_chance_policy_up_front(monkeypatch):
@@ -648,21 +583,17 @@ def test_train_float32_inside_float64_outside(monkeypatch):
         sampler=UniformCropConfig(range_r=0),
         hidden_sizes=(8,), seed=4,
     )
-    for path in CROP_PATHS:
-        with monkeypatch.context() as patch:
-            force_crop_path(patch, path)
-            model, _ = train(ds, cfg)
-            assert all(a.dtype == np.float64 for a in model.weights + model.biases)
-            # 1e39 pixels are finite in float64, where this model's logits stay
-            # finite, but overflow to inf in the float32 batch: the first batch
-            # raises before any step, and no cast or matmul warning gets out,
-            # from the helper thread either
-            huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
-            assert np.isfinite(forward_batch(model, huge.images)).all()
-            patch.setattr("softaug.model._sgd_step", lambda *args: pytest.fail("a step ran"))
-            with pytest.raises(NonFiniteLossError) as err:
-                train(huge, cfg)
-            assert (err.value.epoch, err.value.batch) == (0, 0), path
+    model, _ = train(ds, cfg)
+    assert all(a.dtype == np.float64 for a in model.weights + model.biases)
+    # 1e39 pixels are finite in float64, where this model's logits stay
+    # finite, but overflow to inf in the float32 batch: the first batch
+    # raises before any step, and no cast or matmul warning gets out
+    huge = LabeledDataset(ds.images * 1e39, ds.labels, 2, "train")
+    assert np.isfinite(forward_batch(model, huge.images)).all()
+    monkeypatch.setattr("softaug.model._sgd_step", lambda *args: pytest.fail("a step ran"))
+    with pytest.raises(NonFiniteLossError) as err:
+        train(huge, cfg)
+    assert (err.value.epoch, err.value.batch) == (0, 0)
 
 
 def reference_step(param, velocity, grad, lr, momentum, weight_decay):
