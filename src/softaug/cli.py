@@ -48,7 +48,7 @@ from .data import (
 from .geometry import _covered_fraction
 from .metrics import (
     DEFAULT_OCCLUSION_GRID,
-    _bin_index,
+    _bin_sums,
     ece,
     evaluate,
     occlusion_sweep,
@@ -402,7 +402,7 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
 
 
 def _visibility_rows(vs: np.ndarray) -> list[list]:
-    """Summary plus a 10-bin histogram, bins right-inclusive like ECE's."""
+    """Summary plus a 10-bin histogram by ECE's bin rule, ``_bin_sums``."""
     rows = [
         ["mean_visibility", vs.mean()],
         ["min_visibility", vs.min()],
@@ -410,10 +410,7 @@ def _visibility_rows(vs: np.ndarray) -> list[list]:
         ["frac_visibility_positive", float((vs > 0).mean())],
         ["frac_fully_visible", float((vs == 1.0).mean())],
     ]
-    counts = np.bincount(_bin_index(vs, 10), minlength=11)[1:]
-    for m in range(10):
-        rows.append([f"vis_hist_bin_{m + 1}", int(counts[m])])
-    return rows
+    return rows + [[f"vis_hist_bin_{m}", int(n)] for m, n in enumerate(_bin_sums(vs, 10), 1)]
 
 
 def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:

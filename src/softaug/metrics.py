@@ -1,8 +1,9 @@
 """Evaluation: top-1 error, expected calibration error, occlusion sweeps.
 
-``evaluate`` turns a test set into per-sample prediction records, which
-``top1_error`` and ``ece`` consume; ``occlusion_sweep`` erases by ``occlude``'s
-rule, ``geometry._occluded``, and scores on arrays with the records' argmax rule.
+One scoring rule, ``_scores``: ``evaluate`` builds its records from one call,
+``PredictionRecord.from_probs`` is its one-row view, and ``occlusion_sweep``
+scores each batch it erases by ``occlude``'s rule, ``geometry._occluded``, with
+it. One bin rule, ``_bin_sums``, bins ECE's confidences and visibility histograms.
 """
 
 from __future__ import annotations
@@ -35,15 +36,22 @@ class PredictionRecord:
     @classmethod
     def from_probs(cls, probs: np.ndarray, true_class: int) -> "PredictionRecord":
         probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 2:
-            raise ValueError(f"probs must be a 1-d vector with >= 2 entries, got {probs.shape}")
-        # positive form, so that NaN and inf fail it
-        if not ((probs >= 0).all() and abs(float(probs.sum()) - 1.0) <= 1e-6):
-            raise ValueError("probs must be non-negative and sum to 1")
-        if not 0 <= true_class < probs.size:
-            raise ValueError(f"true_class {true_class} out of range for {probs.size} classes")
-        predicted = int(probs.argmax())
-        return cls(probs, int(true_class), predicted, float(probs[predicted]))
+        predicted, confidence = _scores(probs[None], np.array([true_class]))
+        return cls(probs, int(true_class), int(predicted[0]), float(confidence[0]))
+
+
+def _scores(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax, first index on ties, and its probability; the (N, C)
+    rows must be distributions over C >= 2 classes and the N labels in [0, C)."""
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise ValueError(f"probs must be rows of >= 2 entries, got shape {probs.shape}")
+    # positive form, so that NaN and inf fail it
+    if not ((probs >= 0).all() and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()):
+        raise ValueError("probs must be non-negative and sum to 1")
+    if not ((labels >= 0) & (labels < probs.shape[1])).all():
+        raise ValueError(f"a true class is out of range for {probs.shape[1]} classes")
+    predicted = probs.argmax(axis=1)
+    return predicted, probs[np.arange(len(probs)), predicted]
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,9 @@ def evaluate(model: MlpClassifier, dataset: LabeledDataset) -> list[PredictionRe
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     probs = softmax(forward_batch(model, dataset.images))
-    return [
-        PredictionRecord.from_probs(row, int(label))
-        for row, label in zip(probs, dataset.labels)
-    ]
+    predicted, confidence = _scores(probs, dataset.labels)
+    return [PredictionRecord(row, int(label), int(p), float(c))
+            for row, label, p, c in zip(probs, dataset.labels, predicted, confidence)]
 
 
 def top1_error(records: list[PredictionRecord]) -> float:
@@ -81,10 +88,10 @@ def top1_error(records: list[PredictionRecord]) -> float:
     return wrong / len(records)
 
 
-def _bin_index(confidences: np.ndarray, num_bins: int) -> np.ndarray:
-    """1-based bin of each confidence: smallest m with conf <= m / M."""
-    edges = np.arange(1, num_bins) / num_bins
-    return np.searchsorted(edges, confidences, side="left") + 1
+def _bin_sums(values: np.ndarray, num_bins: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Count of ``values``, or sum of ``weights``, per bin ((m-1)/M, m/M]; 0 in bin 1."""
+    bins = np.searchsorted(np.arange(1, num_bins) / num_bins, values, side="left")
+    return np.bincount(bins, weights=weights, minlength=num_bins)
 
 
 def ece(records: list[PredictionRecord], num_bins: int = 10) -> CalibrationReport:
@@ -99,10 +106,7 @@ def ece(records: list[PredictionRecord], num_bins: int = 10) -> CalibrationRepor
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     conf = np.array([r.confidence for r in records])
     correct = np.array([r.predicted_class == r.true_class for r in records], dtype=float)
-    bins = _bin_index(conf, num_bins)
-    counts = np.bincount(bins, minlength=num_bins + 1)[1:]
-    conf_sums = np.bincount(bins, weights=conf, minlength=num_bins + 1)[1:]
-    correct_sums = np.bincount(bins, weights=correct, minlength=num_bins + 1)[1:]
+    counts, conf_sums, correct_sums = (_bin_sums(conf, num_bins, w) for w in (None, conf, correct))
     occupied = counts > 0
     accuracies = np.zeros(num_bins)
     confidences = np.zeros(num_bins)
@@ -143,9 +147,7 @@ def occlusion_sweep(
     _, _, h, w = images.shape
 
     def error(batch: np.ndarray) -> float:
-        # argmax of the probabilities, not the logits: ties made by exp
-        # rounding resolve to the first index, as in PredictionRecord
-        predicted = softmax(forward_batch(model, batch)).argmax(axis=1)
+        predicted, _ = _scores(softmax(forward_batch(model, batch)), labels)
         return int(np.count_nonzero(predicted != labels)) / len(dataset)
 
     rows = []

@@ -220,7 +220,9 @@ class TrainConfig:
 @dataclass(frozen=True)
 class EpochStats:
     """One training epoch: mean loss and top-1 error on the augmented
-    training stream, plus the schedule values used."""
+    training stream, plus the schedule values used. ``top1_error`` takes
+    the argmax of the float32 training logits, not ``evaluate``'s argmax
+    of the probabilities, so near-ties can resolve differently."""
 
     epoch: int
     mean_loss: float

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softaug import GaussianCropConfig, RandomSource, StandardCropConfig, cli
+from softaug import GaussianCropConfig, MlpClassifier, RandomSource, StandardCropConfig, cli
 from softaug.cli import ConfigError, main, parse_config
 from softaug.model import init_mlp, save_checkpoint
 
@@ -217,7 +217,7 @@ def test_train_seed_flag_changes_model(cfg_path, tmp_path):
     assert a != c
 
 
-# sha256 of (checkpoint.bin, epoch_log.csv) after two epochs. numpy's
+# sha256 of each of TRAIN_ARTIFACTS after two epochs. numpy's
 # OpenBLAS picks its GEMM kernel for the CPU at run time, and kernels
 # round the matmuls differently, so a digest belongs to one build (numpy
 # 2.4.6, OpenBLAS 0.3.31) and one kernel. Each training therefore runs in
@@ -226,22 +226,26 @@ def test_train_seed_flag_changes_model(cfg_path, tmp_path):
 # change that alters the training stream on purpose must update them and
 # say so.
 GOLDEN_KERNEL = "Prescott"
+TRAIN_ARTIFACTS = ("checkpoint.bin", "epoch_log.csv", "final_metrics.csv")
 GOLDEN = {
     "uniform_none": (
         {"sampler": {"kind": "uniform", "sigma": None, "range": 8},
          "softening": {"mode": "none"}},
         "dba6cc09d10416ed02957a8a542e2b078f9f25bcda4234834461d254f932af8a",
         "89590bec76abda2c23b2c0062f41b0097269d26887d5a7ccc08b3db9cce5b1ef",
+        "e8319136f673ec13a1e6d4744c34e555e3d6a809e047dfeba5da2cfa78849c53",
     ),
     "gaussian_sigma_decay": (
         {"train": {"sigma_decay_final_epochs": 1}},
         "e13e0fe2a2db21ddf1f3199b79a319df831a9217031d760ffb9dccb0bec10fb4",
         "715098d7acab2f221153c3a926890217fcdbb0acb9494f1409d2b08f3099b6d6",
+        "372c6bf9a4ce24046d4bcd44778d135dd0494420f809d11d8044b666dbf9180e",
     ),
     "gaussian_alpha": (
         {"softening": {"alpha": 0.1}},
         "dacf75abf07ec275dccb05e96d39390694af2bcfdcad82ac0e2ba91e5a1116d3",
         "a2d9182fdd068335a4b5ada05ac4e40b7f4504a4f2f33f9cc4b86e28e1e2d9dc",
+        "985b69431cab43cad8c8be00f41022321f3880fc489e05ee2d7628e5271824da",
     ),
 }
 
@@ -269,11 +273,9 @@ def run_under_golden_kernel(argv, **env):
 
 @pytest.mark.parametrize("arm", sorted(GOLDEN))
 def test_train_golden_fingerprint(arm, cfg_path, tmp_path):
-    overrides, checkpoint_sha, log_sha = GOLDEN[arm]
+    overrides, *digests = GOLDEN[arm]
     run_under_golden_kernel(["train", "--config", cfg_path(**overrides)])
-    run = tmp_path / "run"
-    assert hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest() == checkpoint_sha
-    assert hashlib.sha256((run / "epoch_log.csv").read_bytes()).hexdigest() == log_sha
+    assert [sha256_of(tmp_path / "run" / name) for name in TRAIN_ARTIFACTS] == digests
 
 
 def sha256_of(path):
@@ -291,8 +293,10 @@ def test_train_model_does_not_depend_on_the_blas_thread_count(cfg_path, tmp_path
         out = tmp_path / f"threads_{threads}"
         run_under_golden_kernel(["train", "--config", path, "--out", str(out)],
                                 OPENBLAS_NUM_THREADS=threads)
-        digests[threads] = [sha256_of(out / name) for name in ("checkpoint.bin", "epoch_log.csv")]
+        digests[threads] = [sha256_of(out / name) for name in TRAIN_ARTIFACTS]
     assert digests["1"] == digests["2"]
+    assert digests["1"][2] == (
+        "2c6f580663deb44905341c7aa722bb115e19cd84f25a4f22638b3b51b6cba2f7")
 
 
 # sha256 of the CSVs the commands other than train write. The occlusion
@@ -751,6 +755,20 @@ def test_occlusion_rejects_non_finite_checkpoint(cfg_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's matmul overflow warning
+def test_occlusion_exits_2_on_logits_that_overflow(cfg_path, tmp_path, capsys):
+    # finite weights of +-1e307 load, but their logits overflow and the
+    # softmax rows turn NaN: the sweep rejects them as evaluate does
+    weights = np.where(np.arange(4)[:, None] % 2 == 0, 1e307, -1e307) * np.ones((4, 3072))
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(MlpClassifier((3072, 4), [weights], [np.zeros(4)]), str(ckpt))
+    out = tmp_path / "occ"
+    assert main(["occlusion", "--config", cfg_path(), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: probs must be non-negative and sum to 1\n"
+    assert not (out / "occlusion.csv").exists()
+
+
 @functools.lru_cache(maxsize=None)
 def checkpoint_blob():
     """The bytes of an untrained checkpoint that fits the BASE config."""
@@ -810,6 +828,20 @@ def test_occlusion_rejects_bad_lambdas(cfg_path, tmp_path):
 
 
 # --- sampler-stats command ---
+
+
+def test_visibility_histogram_bins_right_inclusive():
+    # bin m holds ((m-1)/10, m/10]: v = 0 counts in bin 1, v = m/10 in bin
+    # m, and the next float above m/10 in bin m + 1
+    for m in range(1, 10):
+        vs = np.array([0.0, m / 10, np.nextafter(m / 10, 1.0)])
+        hist = [n for name, n in cli._visibility_rows(vs) if name.startswith("vis_hist_bin_")]
+        expected = [0] * 10
+        for bin_ in (1, m, m + 1):
+            expected[bin_ - 1] += 1
+        assert hist == expected, m
+    rows = dict(cli._visibility_rows(np.array([1.0])))
+    assert rows["vis_hist_bin_10"] == 1
 
 
 def test_sampler_stats_degenerate_sigma(cfg_path, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softaug import (
     LabeledDataset,
@@ -13,8 +14,9 @@ from softaug import (
     synth_shapes,
     top1_error,
 )
+from softaug.loss import softmax
 from softaug.metrics import write_sweep_csv
-from softaug.model import init_mlp
+from softaug.model import forward_batch, init_mlp
 
 
 def brute_force_ece(records, num_bins):
@@ -200,6 +202,53 @@ def test_evaluate_probs_normalized():
     ds = synth_shapes(5, 4, seed=97, split="test")
     for r in evaluate(model, ds):
         assert float(r.probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def oracle_records(model, ds):
+    """(probabilities, label, first argmax, its probability) per image,
+    scored in pure Python from the softmax rows."""
+    out = []
+    for row, label in zip(softmax(forward_batch(model, ds.images)).tolist(), ds.labels.tolist()):
+        predicted = row.index(max(row))
+        out.append((row, label, predicted, row[predicted]))
+    return out
+
+
+def assert_records_match_oracle(model, ds):
+    records = evaluate(model, ds)
+    assert [(r.probs.tolist(), r.true_class, r.predicted_class, r.confidence)
+            for r in records] == oracle_records(model, ds)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 12),
+       scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+def test_evaluate_records_match_python_oracle(seed, hidden, scale):
+    # scale 0 gives every image the biases' row; large scales give confident rows
+    model = init_mlp((3072, hidden, 4), RandomSource(seed))
+    model.weights[-1] *= scale
+    assert_records_match_oracle(model, synth_shapes(2, 4, seed=seed % 1000, split="test"))
+
+
+def test_evaluate_records_match_python_oracle_on_an_exp_rounding_tie():
+    # logits 0 and 1e-17 differ, but exp rounds both to 1.0: a tie at 0.5
+    model = MlpClassifier((3072, 2), [np.zeros((2, 3072))], [np.array([0.0, 1e-17])])
+    ds = LabeledDataset(np.ones((2, 3, 32, 32)), np.array([0, 1]), 2, "test")
+    assert_records_match_oracle(model, ds)
+    assert [r.predicted_class for r in evaluate(model, ds)] == [0, 0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's matmul overflow warning
+def test_sweep_rejects_non_distribution_rows_as_evaluate_does():
+    # finite weights whose logits overflow: the softmax rows are NaN
+    weights = np.where(np.arange(4)[:, None] % 2 == 0, 1e307, -1e307) * np.ones((4, 3072))
+    model = MlpClassifier((3072, 4), [weights], [np.zeros(4)])
+    ds = synth_shapes(2, 4, seed=118, split="test")
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        evaluate(model, ds)
+    for lambdas in ((0.0,), (0.5,)):
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            occlusion_sweep(model, ds, RandomSource(119), lambdas)
 
 
 def test_evaluate_empty_dataset_rejected():
