@@ -1,14 +1,15 @@
 """Command line interface and experiment configuration.
 
 Experiments are described by small INI files with [dataset], [sampler],
-[softening], [train], and [output] sections. Every command writes into
-the run directory ``_run_dir`` makes once its config, data and
-checkpoint checks pass: ``--out``, else the config's [output] dir. It
-first removes the files the command writes, so a failed rerun leaves
-no earlier run's artifacts behind, then writes the config snapshots
-byte for byte before any training starts, so results stay attributable.
-Exit codes: 0 success, 2 invalid config or inputs, 3 numeric failure
-during training.
+[softening], [train], and [output] sections. Every command runs in one
+order: parse, check the config, data and checkpoint, make the run
+directory with ``_run_dir``, work, write. The directory is ``--out``,
+else the config's [output] dir. ``_run_dir`` first removes the files
+the command writes, so a rerun that fails in its work leaves the
+directory but no earlier run's artifacts, then writes the config
+snapshots byte for byte, so results stay attributable. A failed check
+creates nothing. Exit codes: 0 success, 2 invalid config or inputs, 3
+numeric failure during training.
 
 The parser bounds the integer flags (``--seed`` >= 0, ``--points`` >= 2,
 ``--trials``, ``--draws``, ``--seeds`` >= 1) and rejects an empty
@@ -17,7 +18,7 @@ read.
 
 ``compare`` trains its arm x seed models in a pool of spawned worker
 processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
-build, unless the user set it or OMP_NUM_THREADS. Each worker re-imports
+build, whatever the user set. Each worker re-imports
 the main module, so a script that calls ``main`` does so under an
 ``if __name__ == "__main__"`` check; a script read from stdin cannot.
 """
@@ -79,8 +80,6 @@ from .softening import SofteningPolicy, soften
 
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
-# setting either fixes the BLAS thread count of compare's workers
-_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 # section -> key -> type: the one list of INI keys; any other key is rejected
 _KEYS = {
@@ -326,9 +325,10 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
 
 
 def _run_dir(args: argparse.Namespace, cfg: ExperimentConfig, writes: tuple, *snapshots) -> Path:
-    """Make ``--out``, else ``cfg``'s [output] dir, once every check passed; remove
-    the files in ``writes``, which the command writes later, so none is left from
-    an earlier run, then write each (name, raw) config snapshot."""
+    """Make ``--out``, else ``cfg``'s [output] dir, right after the command's checks
+    and before its work; remove the files in ``writes``, which the command writes
+    later, so none is left from an earlier run, then write each (name, raw) config
+    snapshot."""
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
     for name in writes:
@@ -365,12 +365,10 @@ def cmd_curve(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     policy = cfg.train.policy
     ks = (policy.k,) if args.k_list is None else _parse_list(args.k_list, float, "--k-list")
-    rows = []
-    for k in ks:
-        curve = replace(policy, k=k)
-        for v in np.linspace(0.0, 1.0, args.points):
-            rows.append([k, float(v), soften(float(v), curve)])
+    curves = [replace(policy, k=k) for k in ks]  # checks every k
     out = _run_dir(args, cfg, ("curve.csv",))
+    grid = np.linspace(0.0, 1.0, args.points)
+    rows = [[curve.k, float(v), soften(float(v), curve)] for curve in curves for v in grid]
     _write_csv(out / "curve.csv", ["k", "v", "p"], rows)
     print(f"curve: wrote {out / 'curve.csv'} "
           f"({len(ks)} curve(s) x {args.points} points, p_min={policy.p_min:g})")
@@ -393,9 +391,9 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
             f"{model.layer_sizes[-1]} classes; dataset has input {c * h * w} and "
             f"{test_set.num_classes} classes"
         )
+    out = _run_dir(args, cfg, ("occlusion.csv",))
     rows = occlusion_sweep(model, test_set, RandomSource(args.seed), lambdas,
                            trials_per_image=args.trials)
-    out = _run_dir(args, cfg, ("occlusion.csv",))
     write_sweep_csv(rows, str(out / "occlusion.csv"))
     print(f"occlusion: wrote {out / 'occlusion.csv'} "
           f"(top-1 error {rows[0][1]:.4f} at lambda={rows[0][0]:g})")
@@ -447,8 +445,8 @@ def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
 
 def cmd_sampler_stats(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     out = _run_dir(args, cfg, ("sampler_stats.csv",))
+    rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
     _write_csv(out / "sampler_stats.csv", ["metric", "value"], rows)
     print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
 
@@ -458,8 +456,8 @@ def _worker_pool(workers: int):
     """A pool of ``workers`` spawned processes, each on one BLAS thread.
 
     Spawn, not fork: this process already runs OpenBLAS threads. Workers
-    start inside the block, under OPENBLAS_NUM_THREADS=1 unless it or
-    OMP_NUM_THREADS is set, and the environment is restored on exit. Then
+    start inside the block, under OPENBLAS_NUM_THREADS=1 whatever the user
+    set, and the parent's value, or its absence, is restored on exit. Then
     the pending jobs are cancelled, the running ones finished and every
     worker joined; the resource tracker that spawning starts is stopped
     too, unless it was running before, so no process outlives the pool.
@@ -475,18 +473,19 @@ def _worker_pool(workers: int):
     tracker = getattr(resource_tracker, "_resource_tracker", None)
     # a spawned process shares its parent's running tracker: _fd set, _pid None
     owns_tracker = getattr(tracker, "_fd", 0) is None
-    pin = not _BLAS_THREAD_VARS & os.environ.keys()
+    user_threads = os.environ.get("OPENBLAS_NUM_THREADS")
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    if pin:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read before OMP_NUM_THREADS
     try:
         yield pool
     except BrokenProcessPool as exc:
         # killed or out of memory: an OS-level failure, which main exits 2 on
         raise ChildProcessError(str(exc)) from None
     finally:
-        if pin:
+        if user_threads is None:
             del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = user_threads
         pool.shutdown(cancel_futures=True)
         if owns_tracker:
             getattr(tracker, "_stop", lambda: None)()

@@ -133,9 +133,8 @@ def occlusion_sweep(
     Each (lambda, trial) pair gets its own split of ``rng``, which draws
     the patch corners ``occlude`` would draw image by image on it, so no
     row depends on another. A lambda whose patch side rounds to 0,
-    lambda = 0 among them, erases nothing and consumes no randomness;
-    its row is the mean of ``trials_per_image`` copies of the clean
-    error, equal to it at ``%.6g`` but not always in the last bit.
+    lambda = 0 among them, erases nothing and draws nothing, so it runs
+    one trial: its row is the clean error, ``top1_error(evaluate(...))``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -151,17 +150,10 @@ def occlusion_sweep(
         return int(np.count_nonzero(predicted != labels)) / len(dataset)
 
     rows = []
-    clean = None
     for lam_index, lam in enumerate(lambdas):
         side = _patch_side(lam, h, w)
-        if side == 0:
-            # no patch and no draws: every trial scores the clean images
-            if clean is None:
-                clean = error(images)
-            errors = [clean] * trials_per_image
-        else:
-            errors = [error(_occluded(images, side, rng.split(lam_index).split(trial).generator))
-                      for trial in range(trials_per_image)]
+        errors = [error(_occluded(images, side, rng.split(lam_index).split(trial).generator))
+                  for trial in range(trials_per_image if side else 1)]
         # summed, not multiplied: the row is the mean of the trials' errors
         rows.append((float(lam), sum(errors) / len(errors)))
     return rows

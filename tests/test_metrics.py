@@ -14,6 +14,7 @@ from softaug import (
     synth_shapes,
     top1_error,
 )
+from softaug.geometry import _patch_side
 from softaug.loss import softmax
 from softaug.metrics import write_sweep_csv
 from softaug.model import forward_batch, init_mlp
@@ -300,11 +301,12 @@ def test_sweep_validation():
 def record_path_sweep(model, ds, rng, lambdas, trials):
     """The sweep re-derived through validated records: ``occlude`` image by
     image on each (lambda, trial) stream, then ``top1_error(evaluate(...))``
-    per trial."""
+    per trial; one trial where the patch side is 0, as it erases nothing."""
+    _, _, h, w = ds.images.shape
     rows = []
     for lam_index, lam in enumerate(lambdas):
         errors = []
-        for trial in range(trials):
+        for trial in range(trials if _patch_side(lam, h, w) else 1):
             stream = rng.split(lam_index).split(trial)
             patched = np.stack([occlude(image, lam, stream)
                                 for i, image in enumerate(ds.images)])
@@ -326,8 +328,7 @@ def test_sweep_equals_record_path_bitwise():
 
 def test_sweep_side_zero_lambdas_equal_record_path():
     # on 32x32 images lambda 1e-4 rounds to a patch side of 0, like lambda 0:
-    # both rows are the mean of the clean error over the trials, which on
-    # 20 images is not always the clean error itself
+    # both rows score the clean images once, so they are the clean error itself
     weights = np.random.default_rng(116).normal(0.0, 0.05, (4, 3072))
     model = MlpClassifier((3072, 4), [weights], [np.zeros(4)])
     ds = synth_shapes(5, 4, seed=116, split="test")
@@ -335,7 +336,19 @@ def test_sweep_side_zero_lambdas_equal_record_path():
     rows = occlusion_sweep(model, ds, RandomSource(117), lambdas, trials_per_image=10)
     assert rows == record_path_sweep(model, ds, RandomSource(117), lambdas, 10)
     clean = top1_error(evaluate(model, ds))
-    assert rows[0][1] == rows[1][1] == sum([clean] * 10) / 10 != clean
+    assert rows[0][1] == rows[1][1] == clean
+
+
+def test_sweep_clean_row_is_the_clean_error():
+    # 83 of 640 wrong: the mean of ten float copies of 83/640 is 0.12968749999999998,
+    # which prints 0.129687 where the clean error prints 0.129688
+    model = MlpClassifier((3072, 2), [np.zeros((2, 3072))], [np.array([1.0, 0.0])])
+    labels = (np.arange(640) < 83).astype(np.int64)
+    ds = LabeledDataset(np.zeros((640, 3, 32, 32)), labels, 2, "test")
+    clean = top1_error(evaluate(model, ds))
+    rows = occlusion_sweep(model, ds, RandomSource(118), (0.0,), trials_per_image=10)
+    assert rows == [(0.0, clean)]
+    assert f"{rows[0][1]:.6g}" == f"{clean:.6g}" == "0.129688"
 
 
 def test_sweep_breaks_ties_like_records():
