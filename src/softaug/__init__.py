@@ -3,7 +3,19 @@ classifiers, with samplers, losses, a trainer, and calibration metrics.
 
 The package namespace holds the documented surface in ``__all__``;
 everything else lives in its submodule, e.g. ``softaug.loss.softmax``.
+Imported before numpy, it starts numpy's OpenBLAS on 1 thread unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets a count.
 """
+
+import os as _os
+import sys as _sys
+if "numpy" not in _sys.modules and not _os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .geometry import CropWindow, iou, occlude, pad_and_crop, visibility
 from .sampling import (GaussianCropConfig, RandomSource, ResizeCropConfig, StandardCropConfig,

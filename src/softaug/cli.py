@@ -455,13 +455,13 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
 def _worker_pool(workers: int):
     """A pool of ``workers`` spawned processes, each on one BLAS thread.
 
-    Spawn, not fork: this process already runs OpenBLAS threads. Workers
-    start inside the block, under OPENBLAS_NUM_THREADS=1 whatever the user
-    set, and the parent's value, or its absence, is restored on exit. Then
-    the pending jobs are cancelled, the running ones finished and every
-    worker joined; the resource tracker that spawning starts is stopped
-    too, unless it was running before, so no process outlives the pool.
-    A worker that died surfaces as a ChildProcessError.
+    Spawn, not fork: this process may run OpenBLAS threads (numpy loaded
+    first, or a count set). Workers start inside the block, under
+    OPENBLAS_NUM_THREADS=1 whatever the user set, and the parent's value, or
+    its absence, is restored on exit. Then the pending jobs are cancelled,
+    the running ones finished and every worker joined; the resource tracker
+    that spawning starts is stopped too, unless it was running before, so no
+    process outlives the pool. A worker that died surfaces as a ChildProcessError.
     """
     # imported here so the commands without a pool skip their import time
     import multiprocessing

@@ -16,8 +16,8 @@ gradients and velocities in float32; only the loss is float64. The
 model it returns, the checkpoint and evaluation are float64.
 
 One thread rule: ``train`` runs OpenBLAS on exactly 1 thread for the
-call, whatever the environment says. The count is process-wide, so no
-other thread may run BLAS meanwhile.
+call, whatever the environment says; the package starts it on 1 (see
+``softaug``). The count is process-wide: no other thread may run BLAS then.
 """
 
 from __future__ import annotations

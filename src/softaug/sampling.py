@@ -155,10 +155,10 @@ def draw_offset(limit: float, sigma_abs: float, rng: RandomSource) -> int:
     appears, truncates it toward zero, and returns 0 if MAX_REJECTIONS
     draws were all rejected. Each attempt consumes exactly one draw.
     """
-    if limit < 0:
+    if not limit >= 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if sigma_abs <= 0:
-        raise ValueError(f"sigma_abs must be > 0, got {sigma_abs}")
+    if not 0 < sigma_abs < math.inf:
+        raise ValueError(f"sigma_abs must be finite and > 0, got {sigma_abs}")
     for _ in range(MAX_REJECTIONS):
         x = rng.normal(sigma_abs)
         if abs(x) <= limit:

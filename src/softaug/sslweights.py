@@ -67,10 +67,9 @@ def normalize_batch_weights(weights: list[float] | np.ndarray) -> list[float]:
     arr = np.asarray(weights, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot normalize an empty weight list")
-    mean = float(arr.mean())
-    if mean <= 0.0:
-        raise ValueError(f"weights must have positive mean, got {mean}")
-    return [float(x) for x in arr / mean]
+    if not (np.isfinite(arr).all() and (arr >= 0).all() and arr.mean() > 0.0):
+        raise ValueError(f"weights must be finite and >= 0 with a positive mean, got {arr}")
+    return [float(x) for x in arr / arr.mean()]
 
 
 def pair_weights(pairs: list[CropPair], policy: SofteningPolicy,

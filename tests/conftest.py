@@ -1,4 +1,5 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from softaug.model import _openblas
 # its own max_examples
 settings.register_profile("softaug", derandomize=True, deadline=None, database=None)
 settings.load_profile("softaug")
+
+# the variables OpenBLAS reads its thread count from as it loads, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def blas_threads():
@@ -32,7 +36,8 @@ def pytest_report_header(config):
     """The numpy version and the OpenBLAS kernel and thread count in force
     (the digests of training run in the test process depend on the
     kernel), whether ``train`` found the OpenBLAS thread setter and so
-    runs on 1 thread, then the package's line count."""
+    runs on 1 thread, the count child-process commands start OpenBLAS on,
+    then the package's line count."""
     lib = _openblas()
     if lib is None:
         blas = f"numpy {np.__version__}, no bundled OpenBLAS"
@@ -46,4 +51,10 @@ def pytest_report_header(config):
         rule = "train found the OpenBLAS thread setter: it runs on 1 BLAS thread"
     else:
         rule = "train did not find the OpenBLAS thread setter: it runs on the count in force"
-    return [blas, rule, f"src/softaug: {src_lines()} lines"]
+    # the package's start-up rule, read off this environment
+    named = [name for name in BLAS_THREAD_VARS if name in os.environ]
+    if named:
+        start = f"commands start OpenBLAS on the count {named[0]}={os.environ[named[0]]} sets"
+    else:
+        start = "commands start OpenBLAS on 1 thread (no thread count set)"
+    return [blas, rule, start, f"src/softaug: {src_lines()} lines"]

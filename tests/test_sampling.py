@@ -125,6 +125,13 @@ def test_offset_validates():
         draw_offset(4, 0.0, RandomSource(0))
 
 
+@pytest.mark.parametrize("limit, sigma_abs", [(math.nan, 1.0), (5, math.nan), (5, math.inf)])
+def test_offset_rejects_nan_and_infinite_arguments(limit, sigma_abs):
+    # each used to return 0 after MAX_REJECTIONS rejected draws
+    with pytest.raises(ValueError):
+        draw_offset(limit, sigma_abs, RandomSource(0))
+
+
 # --- draw_uniform_offset ---
 
 

@@ -181,3 +181,7 @@ def test_normalize_weights_rejects_bad_input():
         normalize_batch_weights([0.0, 0.0])
     with pytest.raises(ValueError):
         normalize_batch_weights([-2.0, 1.0])
+    # a NaN, an infinite or a negative weight fails even with a positive mean
+    for weights in ([math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0]):
+        with pytest.raises(ValueError):
+            normalize_batch_weights(weights)

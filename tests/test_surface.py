@@ -1,7 +1,9 @@
 """The package namespace is the documented surface and nothing more, and
-the README documents what the code accepts."""
+the README documents what the code accepts; importing it first starts
+OpenBLAS on one thread."""
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -9,8 +11,12 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import softaug
 from softaug.cli import _KEYS, _KINDS, _SOURCES, build_parser, parse_config
+
+from conftest import BLAS_THREAD_VARS, blas_threads
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,6 +37,52 @@ def test_import_loads_no_pool_module():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+# run after the imports under test: the OpenBLAS count, whether the
+# environment is what it was before them, the variable, and the threads
+BLAS_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+{imports}
+from softaug.model import _openblas
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps([_openblas().scipy_openblas_get_num_threads64_(),
+                  dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+def blas_start(imports, **variables):
+    """What a fresh process reports after ``imports``, with none of the
+    thread variables set but ``variables``."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env.update(variables, PYTHONPATH=str(Path(softaug.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE.format(imports=imports)],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    return json.loads(out)
+
+
+needs_getter = pytest.mark.skipif(blas_threads() is None, reason="numpy bundles no OpenBLAS getter")
+
+
+@needs_getter
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS starts on 1 thread on one CPU anyway")
+def test_import_starts_openblas_on_one_thread():
+    threads, environ_kept, variable, tasks = blas_start("import softaug")
+    assert (threads, environ_kept, variable) == (1, True, None)
+    assert tasks in (1, None)
+
+
+@needs_getter
+def test_import_keeps_a_thread_count_the_user_set():
+    threads, environ_kept, variable, _ = blas_start("import softaug", OPENBLAS_NUM_THREADS="2")
+    assert (threads, environ_kept, variable) == (min(2, CPUS), True, "2")
+
+
+@needs_getter
+def test_import_after_numpy_keeps_its_thread_count():
+    assert blas_start("import numpy, softaug")[0] == blas_start("import numpy")[0]
 
 
 def test_readme_library_block_runs():
