@@ -2,7 +2,7 @@
 per-channel normalization.
 
 Images are stored as float64 arrays of shape (N, 3, H, W) scaled to
-[0, 1]. The trainer rounds each batch it crops to float32 and keeps its
+[0, 1]. The trainer crops its batches from a float32 copy and keeps its
 working model in float32; the model it returns, the checkpoint and
 evaluation stay float64 (see ``model``). The synthetic corpus renders
 four geometric shapes in up to two colors, giving a classification task
@@ -107,8 +107,8 @@ def parse_cifar100(data: bytes, split: str = "train") -> LabeledDataset:
     return _parse_cifar(data, CIFAR100_RECORD, 1, 100, split)
 
 
-def _shape_mask(shape: str, cx: float, cy: float, s: float, size: int) -> np.ndarray:
-    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+def _shape_mask(shape: str, cx: float, cy: float, s: float, grid: np.ndarray) -> np.ndarray:
+    ys, xs = grid
     dx, dy = xs - cx, ys - cy
     if shape == "square":
         return (np.abs(dx) <= 0.6 * s) & (np.abs(dy) <= 0.6 * s)
@@ -149,6 +149,7 @@ def synth_shapes(num_per_class: int, num_classes: int, seed: int,
     rng = RandomSource(seed)
     images = np.empty((num_classes * num_per_class, 3, size, size))
     labels = np.empty(num_classes * num_per_class, dtype=np.int64)
+    grid = np.mgrid[0:size, 0:size].astype(float)
     row = 0
     for cls in range(num_classes):
         shape = SHAPE_NAMES[cls % len(SHAPE_NAMES)]
@@ -157,7 +158,7 @@ def synth_shapes(num_per_class: int, num_classes: int, seed: int,
             cx = size / 2 + rng.integers(-3, 3)
             cy = size / 2 + rng.integers(-3, 3)
             s = rng.uniform(8.0, 10.0)
-            mask = _shape_mask(shape, cx, cy, s, size)
+            mask = _shape_mask(shape, cx, cy, s, grid)
             image = np.full((3, size, size), 0.12)
             image += rng.generator.normal(0.0, 0.02, (3, size, size))
             for channel, value in enumerate(color):

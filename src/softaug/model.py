@@ -9,6 +9,8 @@ kernel) and crops a batch in one call of the shift rule of
 ``pad_and_crop``. Backprop reads its ReLU masks off the activations and
 writes one gradient list, weights then biases, into views of one flat
 float32 buffer; SGD steps it in two spans beside one flat velocity buffer.
+Each weight there is input-major, so sgemm packs the B operand of the
+forward ``x @ w.T`` without a transpose (see ``_unflatten``).
 
 One dtype rule: ``init_mlp`` draws in float64, and ``train`` rounds
 that model once to float32, then keeps its batches, weights, biases,
@@ -122,12 +124,21 @@ def forward_batch(model: MlpClassifier, inputs: np.ndarray) -> np.ndarray:
     return _forward_batch(model, x)[0]
 
 
+def _flatten(model: MlpClassifier, dtype) -> np.ndarray:
+    """One flat ``dtype`` buffer of the model's weights, each input-major,
+    then its biases: the inverse of :func:`_unflatten`."""
+    return np.concatenate([w.T.ravel() for w in model.weights] + model.biases, dtype=dtype)
+
+
 def _unflatten(flat: np.ndarray, layer_sizes: tuple[int, ...]) -> MlpClassifier:
-    """The model whose weights, then biases, are consecutive views of ``flat``."""
-    shapes = [*zip(layer_sizes[1:], layer_sizes), *((s,) for s in layer_sizes[1:])]
+    """The model whose weights, then biases, are consecutive views of ``flat``.
+    Each weight is input-major: an (in, out) C-order block seen through its
+    ``.T``, so sgemm packs the B of ``x @ w.T`` without a transpose."""
+    shapes = [*zip(layer_sizes, layer_sizes[1:]), *((s,) for s in layer_sizes[1:])]
     ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
     arrays = [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
-    return MlpClassifier(layer_sizes, arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :])
+    return MlpClassifier(layer_sizes, [a.T for a in arrays[: len(arrays) // 2]],
+                         arrays[len(arrays) // 2 :])
 
 
 def _forward_batch(model: MlpClassifier, x: np.ndarray):
@@ -331,7 +342,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     The float64 model of :func:`init_mlp` is rounded once into one flat
     float32 buffer, weights then biases, that the working arrays view;
     batches, gradients and velocities are float32 too, and only the
-    loss is float64. The model returned is a float64 copy.
+    loss is float64. The model returned is a C-contiguous float64 copy.
+    The images are cast to float32 once, a copy of n*C*H*W*4 bytes.
 
     ``root.split(0)`` initializes the model. Epoch e draws from
     ``root.split(e + 1)``: ``permutation(n)``, then ``random(n) < 0.5``
@@ -361,7 +373,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     model = init_mlp(layer_sizes, root.split(0))
     if cfg.epochs == 0:
         return model, []
-    flat = np.concatenate([a.ravel() for a in model.weights + model.biases], dtype=np.float32)
+    flat = _flatten(model, np.float32)
     velocity, gradient = np.zeros_like(flat), np.empty_like(flat)
     work, spent = _unflatten(flat, layer_sizes), _unflatten(gradient, layer_sizes)
     grads = spent.weights + spent.biases
@@ -373,6 +385,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
     stats: list[EpochStats] = []
     # a blow-up surfaces as NonFiniteLossError, not as numpy warnings
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        images = dataset.images.astype(np.float32)
         for epoch in range(cfg.epochs):
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
             sigma = effective_sigma(epoch, cfg)
@@ -381,7 +394,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
                 sampler = replace(sampler, sigma=sigma)
             generator = root.split(epoch + 1).generator
             order = generator.permutation(n)
-            views = [dataset.images[i][:, :, ::-1] if flip else dataset.images[i]
+            views = [images[i][:, :, ::-1] if flip else images[i]
                      for i, flip in zip(order, (generator.random(n) < 0.5).tolist())]
             windows = _windows(sampler, n, h, generator)
             vis = _covered_fraction(*windows.T, w, h).tolist()
@@ -401,7 +414,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
                 wrong += int((logits.argmax(axis=1) != labels).sum())
                 loss_sum += loss * labels.size
             stats.append(EpochStats(epoch, loss_sum / n, wrong / n, lr, sigma))
-    return _unflatten(flat.astype(np.float64), layer_sizes), stats
+    weights = [np.array(w, np.float64, order="C") for w in work.weights]
+    return MlpClassifier(layer_sizes, weights, [b.astype(np.float64) for b in work.biases]), stats
 
 
 def save_checkpoint(model: MlpClassifier, path: str) -> None:

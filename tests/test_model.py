@@ -36,6 +36,7 @@ from softaug.model import (
     _all_finite,
     _backward_batch,
     _forward_batch,
+    _flatten,
     _sgd_step,
     _unflatten,
     cosine_lr,
@@ -428,8 +429,22 @@ def test_train_restores_the_blas_thread_count(monkeypatch):
 
 def _with_float32(model):
     """The trainer's working model: ``model`` rounded into one flat float32 buffer."""
-    flat = np.concatenate([a.ravel() for a in model.weights + model.biases], dtype=np.float32)
-    return _unflatten(flat, model.layer_sizes)
+    return _unflatten(_flatten(model, np.float32), model.layer_sizes)
+
+
+@pytest.mark.parametrize("sizes", [(13, 7, 5, 3), (3072, 16, 4)])
+def test_flatten_round_trips_into_input_major_views(sizes):
+    model = init_mlp(sizes, RandomSource(94))
+    for dtype in (np.float64, np.float32):
+        flat = _flatten(model, dtype)
+        back = _unflatten(flat, sizes)
+        assert flat.dtype == dtype and flat.size == sum(a.size for a in model.weights + model.biases)
+        for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+            assert b.dtype == dtype and b.shape == a.shape and np.shares_memory(b, flat)
+            assert b.tobytes() == a.astype(dtype).tobytes()
+        # each weight block is (in, out) C-order, so x @ w.T reads a C-contiguous B
+        assert all(w.T.flags.c_contiguous for w in back.weights)
+        assert _flatten(back, dtype).tobytes() == flat.tobytes()
 
 
 def reference_backward(model, x, labels, ps, mode):
@@ -594,6 +609,32 @@ def test_train_float32_inside_float64_outside(monkeypatch):
     with pytest.raises(NonFiniteLossError) as err:
         train(huge, cfg)
     assert (err.value.epoch, err.value.batch) == (0, 0)
+
+
+def test_train_returns_contiguous_float64_of_its_buffer(monkeypatch):
+    ds = synth_shapes(3, 4, seed=95)
+    working = []
+
+    def spy(model, *args):
+        working.append(model)
+        return _backward_batch(model, *args)
+
+    monkeypatch.setattr("softaug.model._backward_batch", spy)
+    model, _ = train(ds, small_train_config(epochs=2, batch_size=5))
+    # every batch steps one working model; the one returned is it widened
+    work = working[0]
+    assert len(working) == 6 and all(m is work for m in working)
+    for a, b in zip(model.weights + model.biases, work.weights + work.biases):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and b.dtype == np.float32
+        assert a.tobytes() == b.astype(np.float64).tobytes()
+
+
+def test_train_leaves_caller_images_untouched():
+    ds = synth_shapes(3, 4, seed=96)
+    before = ds.images.copy()
+    train(ds, small_train_config(epochs=1, batch_size=5))
+    # the float32 copy the batches crop from is a new array, never a cast in place
+    assert ds.images.dtype == np.float64 and ds.images.tobytes() == before.tobytes()
 
 
 def reference_step(param, velocity, grad, lr, momentum, weight_decay):
