@@ -258,7 +258,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raw = fh.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
-        parser.read_string(raw.decode("utf-8"), source=path)
+        # drop a leading UTF-8 byte-order mark, as Windows Notepad writes
+        parser.read_string(raw.decode("utf-8").removeprefix("\ufeff"), source=path)
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -324,18 +325,20 @@ def build_datasets(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return normalize(train_set, stats), normalize(test_set, stats)
 
 
-def _run_dir(args: argparse.Namespace, cfg: ExperimentConfig, writes: tuple, *snapshots) -> Path:
+def _run_dir(args: argparse.Namespace, cfg: ExperimentConfig, writes: tuple,
+             *snapshots) -> list[Path]:
     """Make ``--out``, else ``cfg``'s [output] dir, right after the command's checks
-    and before its work; remove the files in ``writes``, which the command writes
-    later, so none is left from an earlier run, then write each (name, raw) config
-    snapshot."""
+    and before its work; remove the files in ``writes``, so none is left from an
+    earlier run, then write each (name, raw) config snapshot. Returns the paths of
+    ``writes``, in order: the command writes and names its files through them."""
     out = Path(args.out or cfg.out_dir)
     os.makedirs(out, exist_ok=True)
-    for name in writes:
-        (out / name).unlink(missing_ok=True)
+    paths = [out / name for name in writes]
+    for path in paths:
+        path.unlink(missing_ok=True)
     for name, raw in snapshots:
         (out / name).write_bytes(raw)
-    return out
+    return paths
 
 
 def cmd_train(args: argparse.Namespace) -> None:
@@ -343,21 +346,18 @@ def cmd_train(args: argparse.Namespace) -> None:
     tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     check_trainable(tcfg, cfg.dataset.num_classes, IMAGE_EDGE)
     train_set, test_set = build_datasets(cfg.dataset)
-    out = _run_dir(args, cfg, ("epoch_log.csv", "final_metrics.csv", "checkpoint.bin"),
-                   ("config.ini", cfg.raw))
+    log_csv, metrics_csv, checkpoint = _run_dir(
+        args, cfg, ("epoch_log.csv", "final_metrics.csv", "checkpoint.bin"),
+        ("config.ini", cfg.raw))
     model, log = train(train_set, tcfg)
-    _write_csv(out / "epoch_log.csv", [f.name for f in fields(EpochStats)],
-               [astuple(s) for s in log])
+    _write_csv(log_csv, [f.name for f in fields(EpochStats)], [astuple(s) for s in log])
     records = evaluate(model, test_set)
     err = top1_error(records)
     report = ece(records)
-    _write_csv(
-        out / "final_metrics.csv",
-        ["metric", "value"],
-        [["test_top1_error", err], ["test_ece", report.ece]],
-    )
-    save_checkpoint(model, str(out / "checkpoint.bin"))
-    print(f"train: wrote {out} (test top-1 error {err:.4f}, ece {report.ece:.4f})")
+    _write_csv(metrics_csv, ["metric", "value"],
+               [["test_top1_error", err], ["test_ece", report.ece]])
+    save_checkpoint(model, str(checkpoint))
+    print(f"train: wrote {checkpoint.parent} (test top-1 error {err:.4f}, ece {report.ece:.4f})")
 
 
 def cmd_curve(args: argparse.Namespace) -> None:
@@ -366,11 +366,11 @@ def cmd_curve(args: argparse.Namespace) -> None:
     policy = cfg.train.policy
     ks = (policy.k,) if args.k_list is None else _parse_list(args.k_list, float, "--k-list")
     curves = [replace(policy, k=k) for k in ks]  # checks every k
-    out = _run_dir(args, cfg, ("curve.csv",))
+    (path,) = _run_dir(args, cfg, ("curve.csv",))
     grid = np.linspace(0.0, 1.0, args.points)
     rows = [[curve.k, float(v), soften(float(v), curve)] for curve in curves for v in grid]
-    _write_csv(out / "curve.csv", ["k", "v", "p"], rows)
-    print(f"curve: wrote {out / 'curve.csv'} "
+    _write_csv(path, ["k", "v", "p"], rows)
+    print(f"curve: wrote {path} "
           f"({len(ks)} curve(s) x {args.points} points, p_min={policy.p_min:g})")
 
 
@@ -391,11 +391,11 @@ def cmd_occlusion(args: argparse.Namespace) -> None:
             f"{model.layer_sizes[-1]} classes; dataset has input {c * h * w} and "
             f"{test_set.num_classes} classes"
         )
-    out = _run_dir(args, cfg, ("occlusion.csv",))
+    (path,) = _run_dir(args, cfg, ("occlusion.csv",))
     rows = occlusion_sweep(model, test_set, RandomSource(args.seed), lambdas,
                            trials_per_image=args.trials)
-    write_sweep_csv(rows, str(out / "occlusion.csv"))
-    print(f"occlusion: wrote {out / 'occlusion.csv'} "
+    write_sweep_csv(rows, str(path))
+    print(f"occlusion: wrote {path} "
           f"(top-1 error {rows[0][1]:.4f} at lambda={rows[0][0]:g})")
 
 
@@ -445,10 +445,10 @@ def _sampler_stats_rows(sampler, draws: int, seed: int) -> list[list]:
 
 def cmd_sampler_stats(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
-    out = _run_dir(args, cfg, ("sampler_stats.csv",))
+    (path,) = _run_dir(args, cfg, ("sampler_stats.csv",))
     rows = _sampler_stats_rows(cfg.train.sampler, args.draws, args.seed)
-    _write_csv(out / "sampler_stats.csv", ["metric", "value"], rows)
-    print(f"sampler-stats: wrote {out / 'sampler_stats.csv'}")
+    _write_csv(path, ["metric", "value"], rows)
+    print(f"sampler-stats: wrote {path}")
 
 
 @contextlib.contextmanager
@@ -525,8 +525,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
     if script.__spec__ is None and path is not None and not os.path.isfile(path):
         raise ChildProcessError(f"compare cannot run from a script read on standard input: "
                                 f"worker processes re-run it by path, and {path!r} is not a file")
-    out = _run_dir(args, cfg_a, ("compare.csv",),
-                   ("config_a.ini", cfg_a.raw), ("config_b.ini", cfg_b.raw))
+    (compare_csv,) = _run_dir(args, cfg_a, ("compare.csv",),
+                              ("config_a.ini", cfg_a.raw), ("config_b.ini", cfg_b.raw))
     name_a, name_b = Path(args.config_a).stem, Path(args.config_b).stem
     if name_a == name_b:
         name_a += "_a"
@@ -545,11 +545,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
     delta_err, delta_ece = (sum(row[col] for row in rows[n:]) / n
                             - sum(row[col] for row in rows[:n]) / n for col in (2, 3))
     rows.append(["delta", "", delta_err, delta_ece])
-    _write_csv(out / "compare.csv", ["arm", "seed", "top1_error", "ece"], rows)
-    print(
-        f"compare: wrote {out / 'compare.csv'} "
-        f"({name_b} - {name_a}: top-1 {delta_err:+.4f}, ece {delta_ece:+.4f})"
-    )
+    _write_csv(compare_csv, ["arm", "seed", "top1_error", "ece"], rows)
+    print(f"compare: wrote {compare_csv} "
+          f"({name_b} - {name_a}: top-1 {delta_err:+.4f}, ece {delta_ece:+.4f})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,13 +64,13 @@ def pad_and_crop(image: np.ndarray, window: CropWindow) -> np.ndarray:
     tx, ty = window.tx, window.ty
     if max(abs(tx), abs(ty)) > e:
         raise ValueError(f"offset ({tx}, {ty}) exceeds image size {e}x{e}")
-    return _shifted([image], [(tx, ty)], image.dtype)[0]
+    return _shifted([image], [(tx, ty)])[0]
 
 
-def _shifted(images, offsets, dtype) -> np.ndarray:
-    """Unchecked :func:`pad_and_crop` of each (C, e, e) image by its (tx, ty), into
-    a new (B, C, e, e) ``dtype`` array; |tx|, |ty| <= e keeps both slices valid."""
-    out = np.zeros((len(images), *images[0].shape), dtype)
+def _shifted(images, offsets) -> np.ndarray:
+    """Unchecked :func:`pad_and_crop` of each (C, e, e) image by its (tx, ty), into a
+    new (B, C, e, e) array of the images' dtype; |tx|, |ty| <= e keeps both slices valid."""
+    out = np.zeros((len(images), *images[0].shape), images[0].dtype)
     e = out.shape[-1]
     for row, image, (tx, ty) in zip(out, images, offsets):
         i0, i1 = max(0, -tx), min(e, e - tx)

@@ -130,13 +130,18 @@ def _flatten(model: MlpClassifier, dtype) -> np.ndarray:
     return np.concatenate([w.T.ravel() for w in model.weights] + model.biases, dtype=dtype)
 
 
+def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive C-order views of the 1-D ``flat``, one per shape, in order;
+    their sizes must add up to ``flat.size``."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
+
+
 def _unflatten(flat: np.ndarray, layer_sizes: tuple[int, ...]) -> MlpClassifier:
     """The model whose weights, then biases, are consecutive views of ``flat``.
     Each weight is input-major: an (in, out) C-order block seen through its
     ``.T``, so sgemm packs the B of ``x @ w.T`` without a transpose."""
-    shapes = [*zip(layer_sizes, layer_sizes[1:]), *((s,) for s in layer_sizes[1:])]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    arrays = [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
+    arrays = _split(flat, [*zip(layer_sizes, layer_sizes[1:]), *((s,) for s in layer_sizes[1:])])
     return MlpClassifier(layer_sizes, [a.T for a in arrays[: len(arrays) // 2]],
                          arrays[len(arrays) // 2 :])
 
@@ -158,8 +163,8 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
                     ps: np.ndarray, mode: str, grads: list[np.ndarray]):
     """Mean loss over the batch plus gradients for every parameter.
 
-    Returns (loss, grads, logits), the gradients written into ``grads``,
-    arrays shaped and ordered as model.weights + model.biases. The logit
+    Returns (loss, logits) and writes the gradients into ``grads``, arrays
+    shaped and ordered as model.weights + model.biases. The logit
     gradient comes from :func:`loss_and_grad` (float64, like the loss)
     and is cast to the dtype of ``x``; all deeper gradients follow by the
     chain rule through ReLU masks, read off the activations: a ReLU
@@ -173,7 +178,7 @@ def _backward_batch(model: MlpClassifier, x: np.ndarray, true_classes: np.ndarra
         delta.sum(axis=0, out=grads[model.num_layers + layer])
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
-    return loss, grads, logits
+    return loss, logits
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -402,11 +407,11 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
             loss_sum = 0.0
             wrong = 0
             parts = [slice(start, start + cfg.batch_size) for start in range(0, n, cfg.batch_size)]
-            crops = (_shifted(views[p], windows[p, :2].tolist(), np.float32) for p in parts)
+            crops = (_shifted(views[p], windows[p, :2].tolist()) for p in parts)
             for batch_index, (part, batch) in enumerate(zip(parts, crops)):
                 labels = dataset.labels[order[part]]
-                loss, _, logits = _backward_batch(work, batch.reshape(-1, c * h * w), labels,
-                                                  epoch_ps[part], mode, grads)
+                loss, logits = _backward_batch(work, batch.reshape(-1, c * h * w), labels,
+                                               epoch_ps[part], mode, grads)
                 if not (math.isfinite(loss) and _all_finite(gradient)):
                     raise NonFiniteLossError(epoch, batch_index, lr)
                 for span, decay in spans:
@@ -419,19 +424,18 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, lis
 
 
 def save_checkpoint(model: MlpClassifier, path: str) -> None:
-    """Write magic, version, layer sizes, then per layer the row-major
-    weight matrix and bias vector as little-endian float64."""
-    header = struct.pack("<8sII", _CHECKPOINT_MAGIC, 1, len(model.layer_sizes))
-    header += struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes)
+    """Write magic, version, layer sizes, then per layer the row-major weight
+    matrix and bias vector, as one little-endian float64 payload."""
+    sizes = model.layer_sizes
+    params = [a.reshape(-1) for pair in zip(model.weights, model.biases) for a in pair]
     with open(path, "wb") as fh:
-        fh.write(header)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(w.astype("<f8").tobytes(order="C"))
-            fh.write(b.astype("<f8").tobytes())
+        fh.write(struct.pack(f"<8sII{len(sizes)}I", _CHECKPOINT_MAGIC, 1, len(sizes), *sizes))
+        fh.write(np.concatenate(params, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> MlpClassifier:
-    """Read a checkpoint written by :func:`save_checkpoint`; NaN or inf is an error."""
+    """Read a checkpoint written by :func:`save_checkpoint`; NaN or inf is an error.
+    The parameters are C-contiguous views (``_split``) of one float64 copy of the payload."""
     with open(path, "rb") as fh:
         data = fh.read()
     fixed = struct.calcsize("<8sII")
@@ -450,20 +454,13 @@ def load_checkpoint(path: str) -> MlpClassifier:
     sizes = struct.unpack(f"<{n_sizes}I", data[fixed:offset])
     if any(s < 1 for s in sizes):
         raise CheckpointError(f"layer sizes must be positive, got {sizes}")
-    expected = offset + 8 * sum(
-        sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(n_sizes - 1)
-    )
+    shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+              for shape in ((fan_out, fan_in), (fan_out,))]
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
     if len(data) != expected:
         raise CheckpointError(f"checkpoint length {len(data)} != expected {expected}")
-    weights, biases = [], []
-    for i in range(n_sizes - 1):
-        fan_out, fan_in = sizes[i + 1], sizes[i]
-        w = np.frombuffer(data, dtype="<f8", count=fan_out * fan_in, offset=offset)
-        offset += 8 * fan_out * fan_in
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise CheckpointError(f"layer {i} has a non-finite weight or bias")
-        weights.append(w.reshape(fan_out, fan_in).copy())
-        biases.append(b.copy())
-    return MlpClassifier(tuple(sizes), weights, biases)
+    arrays = _split(np.frombuffer(data, "<f8", offset=offset).astype(np.float64), shapes)
+    for index, array in enumerate(arrays):
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"layer {index // 2} has a non-finite weight or bias")
+    return MlpClassifier(sizes, arrays[::2], arrays[1::2])

@@ -428,8 +428,10 @@ def test_train_exit_2_on_bad_config(cfg_path, tmp_path, capsys):
     (lambda text, _run: text.replace("k = 2", "k = 2\nk = 3"), 2, "error:"),
     (lambda text, _run: text.replace("k = 2", "k = 2 ; \udcff"), 2, "error:"),
     (lambda text, run: text.replace(f"= {run}", "="), 2, "error: [output] dir is empty\n"),
+    # the byte-order mark Windows Notepad writes
+    (lambda text, run: "\ufeff" + text.replace(f"= {run}", f"= {run}/bom"), 0, "bom"),
 ], ids=["percent", "percent-placeholder", "default-section", "duplicate-key", "non-utf8",
-        "empty-dir"])
+        "empty-dir", "bom"])
 def test_hostile_ini_text_exits_cleanly(rewrite, code, expected, cfg_path, tmp_path, capsys,
                                         monkeypatch):
     # values are read literally: a % is neither an escape nor a reference
@@ -437,7 +439,7 @@ def test_hostile_ini_text_exits_cleanly(rewrite, code, expected, cfg_path, tmp_p
     path = Path(cfg_path())
     text = rewrite(path.read_text(), tmp_path / "run")
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert main(["curve", "--config", str(path)]) == code
+    assert main(["train", "--config", str(path)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
@@ -445,7 +447,8 @@ def test_hostile_ini_text_exits_cleanly(rewrite, code, expected, cfg_path, tmp_p
         # rejected before any write, also into the current directory
         assert list(tmp_path.iterdir()) == [path]
     else:
-        assert (tmp_path / "run" / expected / "curve.csv").is_file()
+        # the snapshot is the file's bytes, a byte-order mark included
+        assert (tmp_path / "run" / expected / "config.ini").read_bytes() == path.read_bytes()
 
 
 # one valid [sampler] section per kind, for the fuzzer to start from
@@ -902,6 +905,26 @@ def test_sampler_stats_exit_2_on_draws_too_large_to_hold(sampler, cfg_path, tmp_
                  "--draws", "10000000000000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "sampler_stats.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["sampler-stats", "--draws", "10"], ["train"]])
+def test_gaussian_spread_overflow_exits_2_before_writing(command, cfg_path, tmp_path, capsys):
+    # sigma * length is inf: before, the bulk draws returned zero offsets
+    out = tmp_path / "spread"
+    assert main([*command, "--config", cfg_path(sampler={"sigma": 1e308}),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [sampler] sigma * length must be finite")
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sampler", [
+    {**_RESIZE, "sigma": 1e308, "min_length": 8}, {**_STANDARD, "ratio_max": 1e308},
+], ids=["resize_crop", "standard"])
+def test_sampler_stats_saturates_without_warnings(sampler, cfg_path, tmp_path, capsys):
+    assert main(["sampler-stats", "--config", cfg_path(sampler=sampler), "--draws", "500",
+                 "--out", str(tmp_path / "stats")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # sha256 of sampler_stats.csv at the default 100k draws, seed 1, for the

@@ -119,7 +119,7 @@ def test_pad_and_crop_properties(crop):
     kept = np.count_nonzero(pad_and_crop(np.ones_like(image), window)) / image.size
     assert kept == visibility(tx, ty, edge, edge)
     # the batch rule the trainer calls: row b is pad_and_crop of image b, in new memory
-    batch = _shifted(images, offsets, float)
+    batch = _shifted(images, offsets)
     assert batch.shape == (len(images), *image.shape) and batch.dtype == np.float64
     for row, image, (tx, ty) in zip(batch, images, offsets):
         assert np.array_equal(row, reference_pad_and_crop(image, tx, ty))

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import pickle
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -163,7 +164,7 @@ def backward(model, image, true_class, p, mode):
     """Loss and parameter gradients of one input: _backward_batch with B = 1."""
     x = np.asarray(image, dtype=float)[None, :]
     grads = [np.empty_like(param) for param in model.weights + model.biases]
-    loss, grads, _ = _backward_batch(model, x, np.array([true_class]), np.array([p]), mode, grads)
+    loss, _ = _backward_batch(model, x, np.array([true_class]), np.array([p]), mode, grads)
     return loss, grads[:model.num_layers], grads[model.num_layers:]
 
 
@@ -475,10 +476,10 @@ def test_backward_batch_into_buffers_equals_new_arrays(mode, sizes):
     flat = np.full(sum(g.size for g in expected), np.nan, np.float32)
     buffers = _unflatten(flat, sizes)
     grads = buffers.weights + buffers.biases
-    loss, into, logits = _backward_batch(model, x, labels, ps, mode, grads)
-    assert into is grads and not np.isnan(flat).any()
+    loss, logits = _backward_batch(model, x, labels, ps, mode, grads)
+    assert not np.isnan(flat).any()
     assert loss == loss_ref and logits.tobytes() == logits_ref.tobytes()
-    for a, b in zip(expected, into):
+    for a, b in zip(expected, grads):
         assert a.dtype == b.dtype == np.float32
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -699,13 +700,32 @@ def test_all_finite(entries, finite):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = init_mlp((10, 6, 4), RandomSource(79))
+    model = init_mlp((10, 6, 3, 4), RandomSource(79))
     path = str(tmp_path / "model.bin")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.layer_sizes == model.layer_sizes
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
+    # float64, C-contiguous, writeable, and no two parameters share memory
+    arrays = loaded.weights + loaded.biases
+    for a, b in zip(arrays, model.weights + model.biases):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
+def test_checkpoint_bytes_equal_per_layer_reference(tmp_path):
+    # the trainer's layout: each weight a non-contiguous .T view of one float64 buffer
+    sizes = (7, 5, 3, 2)
+    flat = np.random.default_rng(96).normal(size=sum(i * o + o for i, o in zip(sizes, sizes[1:])))
+    model = _unflatten(flat, sizes)
+    assert model.num_layers == 3 and not any(w.flags.c_contiguous for w in model.weights)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, str(path))
+    # the v1 bytes written header field by field, then layer by layer
+    expected = struct.pack("<8sII", b"SAMLP001", 1, 4) + struct.pack("<4I", *sizes)
+    for w, b in zip(model.weights, model.biases):
+        expected += w.astype("<f8").tobytes(order="C") + b.astype("<f8").tobytes(order="C")
+    assert path.read_bytes() == expected
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -194,6 +194,12 @@ def test_sampler_config_validation():
             GaussianCropConfig(sigma=sigma, length=32)
         with pytest.raises(ValueError):
             ResizeCropConfig(sigma=sigma, width=32, height=32, min_length=8)
+    # the draws take Normal(0, sigma * length): a finite sigma can overflow it
+    with pytest.raises(ValueError, match=r"sigma \* length must be finite and > 0"):
+        GaussianCropConfig(sigma=1e308, length=32)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        GaussianCropConfig(sigma=math.nan, length=0)
+    assert GaussianCropConfig(sigma=1e306, length=32).sigma == 1e306
 
 
 # --- resize crop ---
@@ -366,9 +372,14 @@ def test_bulk_offsets_match_scalar_at_bench_sigma():
     StandardCropConfig(24, 32),
     # every aspect is wider than the image: the centered-square fallback
     StandardCropConfig(32, 32, scale_min=1.0, scale_max=1.0, ratio_min=1.5, ratio_max=2.0),
+    # spreads and sides that overflow to inf: clamped to the bound or failing
+    # the fit test, silently, as in the scalar draws' Python floats
+    ResizeCropConfig(sigma=1e308, width=32, height=32, min_length=8),
+    StandardCropConfig(32, 32, ratio_max=1e308),
 ], ids=["gaussian", "gaussian-wide", "uniform", "uniform-r5", "uniform-range0", "resize",
         "resize-room-x", "resize-room-y", "resize-no-room", "resize-rect", "standard",
-        "standard-24x32", "standard-fallback"])
+        "standard-24x32", "standard-fallback", "resize-sigma-1e308", "standard-ratio-1e308"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bulk_windows_match_scalar_draws(sampler):
     # the same windows, and the stream ends where the scalar draws leave it
     count = 2000
