@@ -16,11 +16,9 @@ The parser bounds the integer flags (``--seed`` >= 0, ``--points`` >= 2,
 ``--out``: such a value exits 2 with a usage line before the config is
 read.
 
-``compare`` trains its arm x seed models in a pool of spawned worker
-processes under OPENBLAS_NUM_THREADS=1, one thread each on any OpenBLAS
-build, whatever the user set. Each worker re-imports
-the main module, so a script that calls ``main`` does so under an
-``if __name__ == "__main__"`` check; a script read from stdin cannot.
+``compare`` trains its arm x seed models in a pool of worker processes
+forked from this one on Linux, each put on one OpenBLAS thread as it
+starts; elsewhere it runs them in this process, one after another.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from .model import (
     EpochStats,
     NonFiniteLossError,
     TrainConfig,
+    _set_blas_threads,
     check_trainable,
     load_checkpoint,
     save_checkpoint,
@@ -80,6 +79,9 @@ from .softening import SofteningPolicy, soften
 
 # seed offset separating a synthetic test split from its train split
 TEST_SEED_OFFSET = 1_000_003
+
+# compare forks workers on Linux only: Python's docs call fork unsafe on macOS; Windows has none
+_FORK_WORKERS = sys.platform == "linux"
 
 # section -> key -> type: the one list of INI keys; any other key is rejected
 _KEYS = {
@@ -453,48 +455,31 @@ def cmd_sampler_stats(args: argparse.Namespace) -> None:
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """A pool of ``workers`` spawned processes, each on one BLAS thread.
-
-    Spawn, not fork: this process may run OpenBLAS threads (numpy loaded
-    first, or a count set). Workers start inside the block, under
-    OPENBLAS_NUM_THREADS=1 whatever the user set, and the parent's value, or
-    its absence, is restored on exit. Then the pending jobs are cancelled,
-    the running ones finished and every worker joined; the resource tracker
-    that spawning starts is stopped too, unless it was running before, so no
-    process outlives the pool. A worker that died surfaces as a ChildProcessError.
-    """
+    """A pool of ``workers`` processes forked from this one, numpy and ``softaug``
+    imported, each put on one OpenBLAS thread whatever count this one runs. On exit
+    the pending jobs are cancelled, the running ones finished and every worker
+    joined. A worker that died surfaces as a ChildProcessError."""
     # imported here so the commands without a pool skip their import time
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import resource_tracker
 
-    # a private API (checked on 3.11): where it is missing, nothing is stopped
-    tracker = getattr(resource_tracker, "_resource_tracker", None)
-    # a spawned process shares its parent's running tracker: _fd set, _pid None
-    owns_tracker = getattr(tracker, "_fd", 0) is None
-    user_threads = os.environ.get("OPENBLAS_NUM_THREADS")
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read before OMP_NUM_THREADS
+    # the executor forks every worker at the first submit, before it starts its manager thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_blas_threads, initargs=(1,))
     try:
         yield pool
     except BrokenProcessPool as exc:
         # killed or out of memory: an OS-level failure, which main exits 2 on
         raise ChildProcessError(str(exc)) from None
     finally:
-        if user_threads is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = user_threads
         pool.shutdown(cancel_futures=True)
-        if owns_tracker:
-            getattr(tracker, "_stop", lambda: None)()
 
 
 def _train_eval(spec: DatasetSpec, tcfg: TrainConfig) -> tuple[float, float]:
-    """One compare job, run in a pool worker: train on ``spec``'s train
-    split and return (top-1 error, ECE) on its test split. The worker
-    renders the splits itself, which is cheaper than receiving them."""
+    """One compare job: train on ``spec``'s train split and return (top-1
+    error, ECE) on its test split. A pool worker renders the splits itself,
+    which is cheaper than rendering them once before the fork."""
     train_set, test_set = build_datasets(spec)
     model, _ = train(train_set, tcfg)
     records = evaluate(model, test_set)
@@ -519,12 +504,6 @@ def cmd_compare(args: argparse.Namespace) -> None:
         build_datasets(spec)
     for cfg in (cfg_a, cfg_b):
         check_trainable(cfg.train, spec.num_classes, IMAGE_EDGE)
-    # a worker re-runs the main script by path, and one read from stdin has none
-    script = sys.modules["__main__"]
-    path = getattr(script, "__file__", None)
-    if script.__spec__ is None and path is not None and not os.path.isfile(path):
-        raise ChildProcessError(f"compare cannot run from a script read on standard input: "
-                                f"worker processes re-run it by path, and {path!r} is not a file")
     (compare_csv,) = _run_dir(args, cfg_a, ("compare.csv",),
                               ("config_a.ini", cfg_a.raw), ("config_b.ini", cfg_b.raw))
     name_a, name_b = Path(args.config_a).stem, Path(args.config_b).stem
@@ -534,12 +513,15 @@ def cmd_compare(args: argparse.Namespace) -> None:
     base = cfg_a.train.seed if args.seed is None else args.seed
     jobs = [(name, replace(cfg.train, seed=base + i))
             for name, cfg in ((name_a, cfg_a), (name_b, cfg_b)) for i in range(args.seeds)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with _worker_pool(min(len(jobs), cpus or 1)) as pool:
-        futures = [pool.submit(_train_eval, spec, tcfg) for _, tcfg in jobs]
-        # read in submission order: rows and the first error follow the serial order
-        rows = [[name, tcfg.seed, *future.result()]
-                for (name, tcfg), future in zip(jobs, futures)]
+    if _FORK_WORKERS:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with _worker_pool(min(len(jobs), cpus or 1)) as pool:
+            futures = [pool.submit(_train_eval, spec, tcfg) for _, tcfg in jobs]
+            # read in submission order: rows and the first error follow the serial order
+            results = [future.result() for future in futures]
+    else:
+        results = [_train_eval(spec, tcfg) for _, tcfg in jobs]
+    rows = [[name, tcfg.seed, *result] for (name, tcfg), result in zip(jobs, results)]
     # arm b's mean over its seeds minus arm a's, per metric column
     n = args.seeds
     delta_err, delta_ece = (sum(row[col] for row in rows[n:]) / n

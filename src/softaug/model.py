@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -228,9 +229,14 @@ class TrainConfig:
         if not 1.0 <= self.sigma_decay_factor < math.inf:
             raise ValueError("sigma decay factor must be finite and >= 1, "
                              f"got {self.sigma_decay_factor}")
-        if self.sigma_decay_final_epochs > 0 and not isinstance(self.sampler, GaussianCropConfig):
-            raise ValueError("sigma decay needs a gaussian sampler, got "
-                             f"{type(self.sampler).__name__}")
+        if self.sigma_decay_final_epochs > 0:
+            if not isinstance(self.sampler, GaussianCropConfig):
+                raise ValueError("sigma decay needs a gaussian sampler, got "
+                                 f"{type(self.sampler).__name__}")
+            try:  # the sampler of the final epochs, checked by the sampler's own rule
+                replace(self.sampler, sigma=self.sampler.sigma / self.sigma_decay_factor)
+            except ValueError as exc:
+                raise ValueError(f"decayed sigma: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -318,21 +324,28 @@ def _openblas():
     return ctypes.CDLL(str(found[0])) if found else None
 
 
+def _set_blas_threads(count: int) -> int | None:
+    """Put numpy's OpenBLAS on ``count`` threads through the library's own setter
+    and return the count before; where no setter is found, return None."""
+    lib = _openblas()
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if put is None:
+        return None
+    before = lib.scipy_openblas_get_num_threads64_()
+    put(count)
+    return before
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block on exactly one OpenBLAS thread and restore the count
     after, also on an error; do nothing where no setter is found."""
-    lib = _openblas()
-    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if put is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    put(1)
+    before = _set_blas_threads(1)
     try:
         yield
     finally:
-        put(before)
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[MlpClassifier, list[EpochStats]]:
@@ -435,31 +448,35 @@ def save_checkpoint(model: MlpClassifier, path: str) -> None:
 
 def load_checkpoint(path: str) -> MlpClassifier:
     """Read a checkpoint written by :func:`save_checkpoint`; NaN or inf is an error.
-    The parameters are C-contiguous views (``_split``) of one float64 copy of the payload."""
+    The parameters are C-contiguous views (``_split``) of the one float64 array
+    the payload is read into, once the header matches the file's size."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    fixed = struct.calcsize("<8sII")
-    if len(data) < fixed:
-        raise CheckpointError(f"checkpoint too short: {len(data)} bytes")
-    magic, version, n_sizes = struct.unpack("<8sII", data[:fixed])
-    if magic != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}")
-    if version != 1:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if n_sizes < 2:
-        raise CheckpointError(f"need >= 2 layer sizes, got {n_sizes}")
-    offset = fixed + 4 * n_sizes
-    if len(data) < offset:
-        raise CheckpointError("checkpoint truncated in the size table")
-    sizes = struct.unpack(f"<{n_sizes}I", data[fixed:offset])
-    if any(s < 1 for s in sizes):
-        raise CheckpointError(f"layer sizes must be positive, got {sizes}")
-    shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
-              for shape in ((fan_out, fan_in), (fan_out,))]
-    expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
-    if len(data) != expected:
-        raise CheckpointError(f"checkpoint length {len(data)} != expected {expected}")
-    arrays = _split(np.frombuffer(data, "<f8", offset=offset).astype(np.float64), shapes)
+        length = os.fstat(fh.fileno()).st_size
+        fixed = struct.calcsize("<8sII")
+        if length < fixed:
+            raise CheckpointError(f"checkpoint too short: {length} bytes")
+        magic, version, n_sizes = struct.unpack("<8sII", fh.read(fixed))
+        if magic != _CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}")
+        if version != 1:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if n_sizes < 2:
+            raise CheckpointError(f"need >= 2 layer sizes, got {n_sizes}")
+        offset = fixed + 4 * n_sizes
+        if length < offset:
+            raise CheckpointError("checkpoint truncated in the size table")
+        sizes = struct.unpack(f"<{n_sizes}I", fh.read(offset - fixed))
+        if any(s < 1 for s in sizes):
+            raise CheckpointError(f"layer sizes must be positive, got {sizes}")
+        shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+                  for shape in ((fan_out, fan_in), (fan_out,))]
+        expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
+        if length != expected:
+            raise CheckpointError(f"checkpoint length {length} != expected {expected}")
+        payload = np.empty((expected - offset) // 8, "<f8")
+        if fh.readinto(payload) != payload.nbytes:  # the file shrank after the fstat
+            raise CheckpointError("checkpoint truncated while reading")
+    arrays = _split(payload.astype(np.float64, copy=False), shapes)
     for index, array in enumerate(arrays):
         if not np.isfinite(array).all():
             raise CheckpointError(f"layer {index // 2} has a non-finite weight or bias")

@@ -15,7 +15,6 @@ import tempfile
 import types
 from multiprocessing import resource_tracker
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,10 +299,10 @@ def test_train_model_does_not_depend_on_the_blas_thread_count(cfg_path, tmp_path
 
 
 # sha256 of the CSVs the commands other than train write. The occlusion
-# and compare digests go through training, so their trainings run under
-# GOLDEN_KERNEL too: occlusion's train and sweep in child processes, and
-# compare's in its spawned workers, which inherit the pin. Curve and
-# sampler-stats involve no matmul and run in this process.
+# and compare digests go through training, so their commands run in child
+# processes under GOLDEN_KERNEL too: occlusion's train and sweep, and
+# compare, whose workers are forked from its process and keep its kernel.
+# Curve and sampler-stats involve no matmul and run in this process.
 _RESIZE = {"kind": "resize_crop", "length": None, "min_length": 16,
            "width": 32, "height": 32}
 _STANDARD = {"kind": "standard", "sigma": None, "length": None,
@@ -355,17 +354,29 @@ def test_writer_golden_fingerprint(name, cfg_path, tmp_path):
     assert sha256_of(out / filename) == digest
 
 
-def compare_digest(tmp_path, seeds):
-    """sha256 of compare.csv for the hard and soft BASE arms over ``seeds`` seeds."""
+def compare_argv(tmp_path, seeds, out):
+    """compare's argv for the hard and soft BASE arms over ``seeds`` seeds,
+    writing to ``tmp_path / out``."""
     arm_a = write_config(tmp_path / "hard.ini", tmp_path / "out_a",
                          softening={"mode": "none"})
     arm_b = write_config(tmp_path / "soft.ini", tmp_path / "out_b")
-    out = tmp_path / "cmp"
-    # compare trains only in spawned workers, which start with this environment
-    with mock.patch.dict(os.environ, golden_kernel()):
-        assert main(["compare", "--config-a", arm_a, "--config-b", arm_b,
-                     "--seeds", str(seeds), "--out", str(out)]) == 0
-    return sha256_of(out / "compare.csv")
+    return ["compare", "--config-a", arm_a, "--config-b", arm_b, "--seeds", str(seeds),
+            "--out", str(tmp_path / out)]
+
+
+def compare_digest(tmp_path, seeds):
+    """sha256 of compare.csv for the hard and soft BASE arms over ``seeds``
+    seeds, from a child process pinned to GOLDEN_KERNEL: this process's
+    kernel is loaded already, and forked workers would keep it."""
+    run_under_golden_kernel(compare_argv(tmp_path, seeds, "cmp"))
+    return sha256_of(tmp_path / "cmp" / "compare.csv")
+
+
+def compare_here(tmp_path, out):
+    """The bytes of compare.csv for the hard and soft BASE arms over one seed,
+    from ``main`` in this process, on the kernel it loaded."""
+    assert main(compare_argv(tmp_path, 1, out)) == 0
+    return (tmp_path / out / "compare.csv").read_bytes()
 
 
 COMPARE_GOLDEN = "792cb40546b3759842cd688a31cd6564ff70e84363952fac137ea17fb29fb799"
@@ -917,6 +928,20 @@ def test_gaussian_spread_overflow_exits_2_before_writing(command, cfg_path, tmp_
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_decayed_sigma_underflow_exits_2_before_writing(command, cfg_path, tmp_path, capsys):
+    # sigma / factor rounds to 0: before, the final epochs failed after the run dir was made
+    path = cfg_path(sampler={"sigma": 1e-320},
+                    train={"sigma_decay_final_epochs": 1, "sigma_decay_factor": 1e6})
+    configs = (["--config-a", path, "--config-b", path] if command == "compare"
+               else ["--config", path])
+    out = tmp_path / "decayed"
+    assert main([command, *configs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: [train] decayed sigma: sigma * length must be "
+                                       "finite and > 0, got 0.0 * 32\n")
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sampler", [
     {**_RESIZE, "sigma": 1e308, "min_length": 8}, {**_STANDARD, "ratio_max": 1e308},
@@ -1040,7 +1065,9 @@ def no_process_left():
 
 
 def test_compare_leaves_no_process(tmp_path):
-    compare_digest(tmp_path, 1)
+    before = dict(os.environ)
+    compare_here(tmp_path, "cmp")
+    assert dict(os.environ) == before
     no_process_left()
 
 
@@ -1090,12 +1117,19 @@ def test_compare_pool_workers_run_one_blas_thread(monkeypatch):
 
 
 def test_compare_parent_renders_no_data(tmp_path, monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("the compare parent rendered a dataset")
-    # patched in this process only: spawned workers import the real ones
-    monkeypatch.setattr(cli, "build_datasets", refuse)
-    monkeypatch.setattr(cli, "synth_shapes", refuse)
-    assert compare_digest(tmp_path, 1) == COMPARE_GOLDEN
+    expected = compare_here(tmp_path, "plain")
+    parent = os.getpid()
+
+    def parent_refuses(render):
+        def call(*args):
+            if os.getpid() == parent:
+                raise AssertionError("the compare parent rendered a dataset")
+            return render(*args)
+        return call
+    # the forked workers inherit the patch and render through it
+    for name in ("build_datasets", "synth_shapes"):
+        monkeypatch.setattr(cli, name, parent_refuses(getattr(cli, name)))
+    assert compare_here(tmp_path, "patched") == expected
 
 
 def test_compare_exit_2_on_dataset_too_large_to_hold(tmp_path, capsys):
@@ -1110,28 +1144,30 @@ def test_compare_exit_2_on_dataset_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_compare_exit_2_on_script_from_stdin(tmp_path, capsys, monkeypatch):
-    # python - < script.py runs a __main__ whose __file__ is '<stdin>'
+def test_compare_runs_from_a_script_read_on_stdin(tmp_path, monkeypatch):
+    # python - < script.py runs a __main__ whose __file__ is '<stdin>';
+    # forked workers never re-run it
     script = types.ModuleType("__main__")
     script.__file__ = "<stdin>"
     monkeypatch.setitem(sys.modules, "__main__", script)
-    arm = write_config(tmp_path / "arm.ini", tmp_path / "out")
+    arm = write_config(tmp_path / "arm.ini", tmp_path / "out", train={"epochs": 1})
     out = tmp_path / "cmp"
     assert main(["compare", "--config-a", arm, "--config-b", arm, "--seeds", "1",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: compare cannot run from a script read on standard input")
-    assert "'<stdin>' is not a file" in err and err.count("\n") == 1
-    assert not out.exists()
+                 "--out", str(out)]) == 0
+    assert (out / "compare.csv").is_file()
     no_process_left()
 
 
-def test_compare_without_private_tracker_stop(tmp_path, monkeypatch):
-    monkeypatch.delattr(resource_tracker.ResourceTracker, "_stop")
-    compare_digest(tmp_path, 1)
-    # the tracker that compare could not stop is stopped here
-    monkeypatch.undo()
-    resource_tracker._resource_tracker._stop()
+def test_compare_off_linux_runs_its_jobs_in_this_process(tmp_path, monkeypatch):
+    forked = compare_here(tmp_path, "forked")
+
+    def refuse():
+        raise AssertionError("compare started a child process")
+    monkeypatch.setattr(cli, "_FORK_WORKERS", False)  # as on macOS and Windows
+    monkeypatch.setattr(os, "fork", refuse)
+    before = dict(os.environ)
+    assert compare_here(tmp_path, "in_process") == forked
+    assert dict(os.environ) == before
     no_process_left()
 
 
@@ -1141,7 +1177,7 @@ def compare_in_this_process(argv):
 
 
 def test_compare_in_a_spawned_process(tmp_path):
-    # the child shares this process's resource tracker, which it must not stop
+    # compare forks its workers from a child that was itself spawned
     arm = write_config(tmp_path / "arm.ini", tmp_path / "out", train={"epochs": 1})
     out = tmp_path / "cmp"
     child = multiprocessing.get_context("spawn").Process(
@@ -1158,10 +1194,11 @@ def test_compare_in_a_spawned_process(tmp_path):
 
 
 def test_compare_without_sched_getaffinity(tmp_path, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity; the pool falls back
-    # to os.cpu_count, and rows are read in submission order either way
+    # where os has no sched_getaffinity, the pool falls back to
+    # os.cpu_count, and rows are read in submission order either way
+    expected = compare_here(tmp_path, "plain")
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert compare_digest(tmp_path, 1) == COMPARE_GOLDEN
+    assert compare_here(tmp_path, "patched") == expected
 
 
 def test_negative_seeds_rejected_before_writing(cfg_path, tmp_path, capsys):

@@ -281,6 +281,10 @@ def test_sigma_decay_validates():
         small_train_config(sigma_decay_final_epochs=10, sigma_decay_factor=0.5)
     with pytest.raises(ValueError, match="sigma decay factor must be finite and >= 1, got inf"):
         small_train_config(sigma_decay_final_epochs=10, sigma_decay_factor=math.inf)
+    # the sigma of the final epochs must pass the sampler's own rule too
+    with pytest.raises(ValueError, match=r"decayed sigma: sigma \* length must be finite and > 0"):
+        small_train_config(sampler=GaussianCropConfig(sigma=1e-320, length=32),
+                           sigma_decay_final_epochs=1, sigma_decay_factor=1e6)
 
 
 # --- train config ---
